@@ -2,7 +2,7 @@
 
 :class:`ClusterClient` is the cluster twin of
 :class:`~repro.service.client.CacheClient`: it owns (or shares) a
-:class:`~repro.cluster.ring.HashRing`, keeps one pooled connection set per
+:class:`~repro.cluster.ring.HashRing`, keeps one client transport per
 node, and routes every operation to the key's owner — the same "compute
 the placement locally, never ask" discipline the sharded store uses one
 level down.
@@ -51,7 +51,6 @@ class ClusterClient:
         ring: HashRing | None = None,
         replicas: int = 1,
         read_replicas: bool = False,
-        pool_size: int = 2,
         timeout: float = 5.0,
         seed: int = 2013,
     ):
@@ -67,7 +66,7 @@ class ClusterClient:
         self.replicas = replicas
         self.read_replicas = read_replicas
         self._clients = {
-            name: PeerClient(host, port, pool_size=pool_size, timeout=timeout)
+            name: PeerClient(host, port, timeout=timeout)
             for name, (host, port) in nodes.items()
         }
         self._failures = {name: 0 for name in nodes}
@@ -77,11 +76,9 @@ class ClusterClient:
     # -- membership (kept in lockstep with the cluster manager) ---------------
 
     def add_node(self, name: str, host: str, port: int,
-                 pool_size: int = 2, timeout: float = 5.0) -> None:
+                 timeout: float = 5.0) -> None:
         """Register a node's address (the ring is updated by its owner)."""
-        self._clients[name] = PeerClient(
-            host, port, pool_size=pool_size, timeout=timeout
-        )
+        self._clients[name] = PeerClient(host, port, timeout=timeout)
         self._failures[name] = 0
         self._down.discard(name)
 

@@ -14,20 +14,20 @@ machinery of :mod:`repro.coherence.distributed`:
   owners in a bounded :class:`ReplicaStore`, serving them over ``RGET``
   and dropping them on ``INVAL``.
 
-Wire verbs added on top of the :mod:`repro.service` protocol (all
-line-framed, same framing rules):
+Wire verbs added on top of the :mod:`repro.service` protocol (same
+frames, same error rules):
 
-=========================================  =================================
-request                                    response
-=========================================  =================================
-``REPL <key> <version> <len>\\n<bytes>\\n``  ``REPLICATED\\n`` or ``STALE\\n``
-``INVAL <key> <version>\\n``                ``INVALED\\n``
-``PUTS <key> <node>\\n``                    ``OK\\n``
-``RGET <key>\\n``                           ``VALUE <len>\\n<bytes>\\n``/``MISS\\n``
-``CSTATUS\\n``                              ``CSTATUS <len>\\n<json>\\n``
-``DRAIN\\n``                                ``DRAINING\\n`` (node stops
-                                           accepting, drains in-flight)
-=========================================  =================================
+==========================  ===========================================
+request                     response status
+==========================  ===========================================
+``REPL key version value``  ``REPLICATED`` or ``STALE``
+``INVAL key version``       ``INVALED``
+``PUTS key node``           ``OK``
+``RGET key``                ``VALUE`` (value blob) or ``MISS``
+``CSTATUS``                 ``CSTATUS`` (JSON blob)
+``DRAIN``                   ``DRAINING`` (node stops accepting, drains
+                            in-flight)
+==========================  ===========================================
 
 Writes carry a per-key monotonic **version** assigned by the owner.
 ``INVAL`` establishes a *floor*: a peer that saw ``INVAL(key, v)`` rejects
@@ -70,11 +70,7 @@ from ..coherence.distributed import ReplicaDirectory
 from ..coherence.states import State
 from ..service.client import CacheClient
 from ..service.protocol import STATUS_IDS
-from ..service.server import (
-    MAX_VALUE_BYTES,
-    CacheServer,
-    ProtocolError,
-)
+from ..service.server import CacheServer, ProtocolError
 from ..service.sharding import ShardedStore
 
 log = get_logger(__name__)
@@ -88,7 +84,7 @@ CLUSTER_VERBS = ("SET", "DEL", "REPL", "INVAL", "PUTS", "RGET", "CSTATUS",
 CAT_CLUSTER = "cluster"
 
 #: seconds a replica-store version floor survives even past the count
-#: bound — long enough to fence any REPL push still in flight (pool
+#: bound — long enough to fence any REPL push still in flight (transport
 #: retries included) when the INVAL that raced ahead of it was applied
 FLOOR_MIN_AGE = 60.0
 
@@ -200,8 +196,6 @@ class PeerClient(CacheClient):
     call-site signature.  Pass ``trace`` explicitly to override.
     """
 
-    _BODY_TOKENS = CacheClient._BODY_TOKENS + ("CSTATUS",)
-
     async def repl(self, key: str, version: int, value: bytes,
                    trace=None) -> bool:
         """Push a replica; True iff the peer accepted (not STALE)."""
@@ -260,85 +254,13 @@ class ClusterServer(CacheServer):
         super().__init__(store, **kwargs)
         self.node = node
 
-    async def _serve_request(self, cmd: str, parts: list, reader, writer,
-                             conn_id: int = 0):
-        """Cluster-verb dispatch; non-cluster verbs fall through to the base.
-
-        Same contract as the base method: ``cmd``/``parts`` are the decoded
-        request line with any trace field already stripped (the shared
-        ``_handle_request`` wrapper popped it and opened the request span),
-        and the returned outcome label feeds ``_record_request``.
-        """
-        if cmd not in CLUSTER_VERBS:
-            return await super()._serve_request(cmd, parts, reader, writer,
-                                                conn_id)
-        node = self.node
-
-        if cmd == "SET":
-            if len(parts) != 3:
-                raise ProtocolError("usage: SET <key> <len>")
-            key, value = parts[1], await self._read_body(reader, parts[2])
-            stored = await node.handle_set(key, value)
-            writer.write(b"STORED\n" if stored else b"TAGGED\n")
-            return "stored" if stored else "tagged"
-        elif cmd == "DEL":
-            if len(parts) != 2:
-                raise ProtocolError("usage: DEL <key>")
-            key = parts[1]
-            removed = await node.handle_delete(key)
-            writer.write(b"DELETED\n" if removed else b"NOTFOUND\n")
-            return "deleted" if removed else "notfound"
-        elif cmd == "REPL":
-            if len(parts) != 4:
-                raise ProtocolError("usage: REPL <key> <version> <len>")
-            key, version = parts[1], self._int(parts[2], "version")
-            value = await self._read_body(reader, parts[3])
-            accepted = await node.handle_repl(key, version, value)
-            writer.write(b"REPLICATED\n" if accepted else b"STALE\n")
-            return "replicated" if accepted else "stale"
-        elif cmd == "INVAL":
-            if len(parts) != 3:
-                raise ProtocolError("usage: INVAL <key> <version>")
-            dropped = node.handle_inval(parts[1], self._int(parts[2], "version"))
-            writer.write(b"INVALED\n")
-            return "dropped" if dropped else "clean"
-        elif cmd == "PUTS":
-            if len(parts) != 3:
-                raise ProtocolError("usage: PUTS <key> <node>")
-            node.handle_puts(parts[1], parts[2])
-            writer.write(b"OK\n")
-        elif cmd == "RGET":
-            if len(parts) != 2:
-                raise ProtocolError("usage: RGET <key>")
-            value = node.handle_rget(parts[1])
-            if value is None:
-                writer.write(b"MISS\n")
-                return "miss"
-            writer.write(b"VALUE %d\n" % len(value))
-            writer.write(value)
-            writer.write(b"\n")
-            return "hit"
-        elif cmd == "CSTATUS":
-            payload = json.dumps(node.status()).encode("utf-8")
-            writer.write(b"CSTATUS %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        else:  # DRAIN
-            node.draining = True
-            writer.write(b"DRAINING\n")
-            await writer.drain()
-            # stop accepting & drain in the background; this response (and
-            # every other in-flight request) still completes
-            asyncio.ensure_future(self.stop())
-        return None
-
     async def _serve_frame(self, cmd: str, fields: list, seq: int, enc,
                            writer, conn_id: int = 0):
-        """v2 frame dispatch for the cluster verbs; the rest fall through.
+        """Cluster-verb dispatch; non-cluster verbs fall through to the base.
 
-        Mirrors :meth:`_serve_request` verb for verb, so FLOW003's
-        framing-coverage check sees the cluster layer serving the same
-        verb set in both framings.  Batch verbs are *not* intercepted:
+        Same contract as the base method; FLOW003 reads the cluster
+        layer's served verbs from the ``cmd`` comparisons here.  Batch
+        verbs are *not* intercepted:
         the base arms route every item through :meth:`_apply_set` /
         :meth:`_apply_delete` below, so a batched write on a cluster node
         still runs the full INVAL-before-ack fan-out per item.
@@ -414,25 +336,6 @@ class ClusterServer(CacheServer):
                                   "RGET") and len(parts) > 1 else None
         self.node.record_request(cmd, elapsed, conn_id, start=start,
                                  ctx=ctx, key=key, outcome=outcome)
-
-    async def _read_body(self, reader, length_token: str) -> bytes:
-        length = self._int(length_token, "length")
-        if not 0 <= length <= MAX_VALUE_BYTES:
-            raise ProtocolError(f"length {length} out of range")
-        try:
-            body = await reader.readexactly(length + 1)  # value + '\n'
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("value body truncated") from None
-        if body[-1:] != b"\n":
-            raise ProtocolError("value not newline-terminated")
-        return body[:-1]
-
-    @staticmethod
-    def _int(token: str, what: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ProtocolError(f"bad {what} {token!r}") from None
 
 
 class ClusterNode:
@@ -521,11 +424,9 @@ class ClusterNode:
         """Register (or re-register) a peer's address."""
         old = self._peers.pop(name, None)
         if old is not None:
-            # close asynchronously; the pool may be mid-request elsewhere
+            # close asynchronously; the transport may be mid-request elsewhere
             asyncio.ensure_future(old.close())
-        self._peers[name] = PeerClient(
-            host, port, pool_size=2, timeout=self.peer_timeout
-        )
+        self._peers[name] = PeerClient(host, port, timeout=self.peer_timeout)
 
     async def disconnect_peer(self, name: str) -> None:
         peer = self._peers.pop(name, None)
@@ -755,7 +656,7 @@ class ClusterNode:
         with use_context(ctx if ctx is not None else current_context()):
             failed = await self._inval_round(targets, key, version)
             if failed:
-                # one immediate retry: pool contention or a slow peer, not
+                # one immediate retry: a busy transport or a slow peer, not
                 # necessarily a dead one
                 failed = await self._inval_round(failed, key, version)
         registry = self.obs.registry
@@ -980,8 +881,7 @@ class ClusterNode:
             "stale_rejects": self.replica_store.stale_rejects,
             "eventloop_lag_s": self.server.eventloop_lag,
             "uptime_s": self.server.uptime_s,
-            "connections_v1": self.server.connections_v1,
-            "connections_v2": self.server.connections_v2,
+            "connections_accepted": self.server.connections_accepted,
             "peers": list(self.peer_names()),
             "replication_factor": self.replicas,
         }

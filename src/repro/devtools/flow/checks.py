@@ -573,12 +573,9 @@ def _transfer(node, active, taint, out: FunctionFindings):
 
 # -- FLOW003 verb extraction -------------------------------------------------
 
-#: names of the dispatch methods the verb extraction keys on; servers must
-#: dispatch on a local called ``cmd`` inside these methods (repo convention).
-#: ``_serve_request`` dispatches the v1 line framing, ``_serve_frame`` the
-#: v2 binary framing.
-DISPATCH_METHOD = "_serve_request"
-DISPATCH_METHOD_V2 = "_serve_frame"
+#: name of the dispatch method the verb extraction keys on; servers must
+#: dispatch on a local called ``cmd`` inside it (repo convention)
+DISPATCH_METHOD = "_serve_frame"
 DISPATCH_VAR = "cmd"
 
 _VERB_RE = re.compile(r"^([A-Z][A-Z0-9]*)")
@@ -608,7 +605,7 @@ def _module_string_dict_keys(tree) -> dict:
 
     Returns ``{const_name: {key: line}}`` for every module-level dict
     literal whose keys are all string constants — the shape of the
-    ``VERB_IDS`` / ``V1_LINES`` framing tables.
+    ``VERB_IDS`` table.
     """
     consts = {}
     for node in tree.body:
@@ -629,25 +626,18 @@ def _module_string_dict_keys(tree) -> dict:
     return consts
 
 
-def has_method(tree, name: str) -> bool:
-    """Whether any function in ``tree`` is named ``name``."""
-    return any(func.name == name for _, func in iter_functions(tree))
+def extract_handled_verbs(tree) -> dict:
+    """Verbs a server file dispatches: ``{verb: line}``.
 
-
-def extract_handled_verbs(tree, method: str = DISPATCH_METHOD) -> dict:
-    """Verbs a server file dispatches in one framing: ``{verb: line}``.
-
-    A verb is *handled* when, inside a function named ``method``
-    (``_serve_request`` for the v1 line framing, ``_serve_frame`` for the
-    v2 binary framing), the local ``cmd`` is compared against a string
-    constant (``==``) or against a tuple/list/set of string constants —
-    inline or via a module-level constant such as ``CLUSTER_VERBS``
-    (``in`` / ``not in``).
+    A verb is *handled* when, inside a function named ``_serve_frame``,
+    the local ``cmd`` is compared against a string constant (``==``) or
+    against a tuple/list/set of string constants — inline or via a
+    module-level constant such as ``CLUSTER_VERBS`` (``in`` / ``not in``).
     """
     consts = _module_string_tuples(tree)
     handled = {}
     for _, func in iter_functions(tree):
-        if func.name != method:
+        if func.name != DISPATCH_METHOD:
             continue
         for sub in iter_scope(func):
             if not (
@@ -679,83 +669,25 @@ def extract_handled_verbs(tree, method: str = DISPATCH_METHOD) -> dict:
     return {v: l for v, l in handled.items() if _VERB_RE.match(v)}
 
 
-def _payload_text(expr, assigns):
-    """Best-effort leading text of a ``_request`` payload expression."""
-    for _ in range(8):  # peel wrappers; bounded for safety
-        if isinstance(expr, ast.Call) and isinstance(
-            expr.func, ast.Attribute
-        ) and expr.func.attr == "encode":
-            expr = expr.func.value
-        elif isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Mod):
-            expr = expr.left
-        elif isinstance(expr, ast.Name):
-            resolved = assigns.get(expr.id)
-            if resolved is None or resolved is expr:
-                return None
-            expr, assigns = resolved, dict(assigns, **{expr.id: None})
-        else:
-            break
-    if isinstance(expr, ast.JoinedStr):
-        if expr.values and isinstance(expr.values[0], ast.Constant):
-            expr = expr.values[0]
-        else:
-            return None
-    if isinstance(expr, ast.Constant):
-        value = expr.value
-        if isinstance(value, bytes):
-            try:
-                value = value.decode("ascii")
-            except UnicodeDecodeError:
-                return None
-        if isinstance(value, str):
-            return value
-    return None
-
-
 def extract_sent_verbs(tree) -> dict:
     """Verbs a client file sends: ``{verb: line}``.
 
-    A verb is *sent* when either
-
-    * the first argument of a ``*.call(...)`` transport call is a string
-      constant naming the verb (the v2-era unified API), or
-    * the first argument of a legacy ``*._request(...)`` call starts with
-      an upper-case token — as a constant, an f-string, a ``%``-formatted
-      literal, or a local assigned one of those shapes.
+    A verb is *sent* when the first argument of a ``*.call(...)``
+    transport call is a string constant naming the verb.
     """
     sent = {}
     for _, func in iter_functions(tree):
-        assigns = {}
-        for sub in ast.walk(func):
-            if (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Name)
-            ):
-                assigns[sub.targets[0].id] = sub.value
         for sub in iter_scope(func):
-            if not (
+            if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in ("_request", "call")
+                and sub.func.attr == "call"
                 and sub.args
+                and isinstance(sub.args[0], ast.Constant)
+                and isinstance(sub.args[0].value, str)
+                and _VERB_RE.fullmatch(sub.args[0].value)
             ):
-                continue
-            if sub.func.attr == "call":
-                arg = sub.args[0]
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and _VERB_RE.fullmatch(arg.value)
-                ):
-                    sent.setdefault(arg.value, sub.lineno)
-                continue
-            text = _payload_text(sub.args[0], assigns)
-            if text is None:
-                continue
-            match = _VERB_RE.match(text.strip())
-            if match:
-                sent.setdefault(match.group(1), sub.lineno)
+                sent.setdefault(sub.args[0].value, sub.lineno)
     return sent
 
 
@@ -765,16 +697,9 @@ def check_protocol(files, rule) -> list:
     ``files`` is a list of ``(path_str, tree)``.  A layer is checked only
     when its server file is part of the analyzed set; the client-sender
     check additionally needs every spec client file present (a partial
-    tree cannot prove the absence of a sender).
-
-    A server file that defines ``_serve_frame`` is *framing-aware*: its
-    v1 (``_serve_request``) and v2 (``_serve_frame``) dispatch arms are
-    diffed separately against the framings each verb declares, so a verb
-    wired into one framing but not the other is a finding.  A file
-    without ``_serve_frame`` is checked as a single undifferentiated
-    dispatch surface (the pre-v2 behaviour).  The ``VERB_IDS`` /
-    ``V1_LINES`` framing tables are cross-checked against the spec when
-    their defining files are part of the analyzed set.
+    tree cannot prove the absence of a sender).  The codec's ``VERB_IDS``
+    table is cross-checked against the spec when the codec file is part
+    of the analyzed set.
     """
     from . import protocol_spec as spec
 
@@ -794,13 +719,12 @@ def check_protocol(files, rule) -> list:
             )
         )
 
-    documented = {verb.name for verb in spec.SPEC}
-    internal = spec.internal_verbs()
-    client_files = [(s,) + find(s) for s in spec.CLIENT_FILES]
-    clients_present = [(s, p, t) for s, p, t in client_files if t is not None]
+    documented = spec.documented_verbs()
+    client_files = [find(s) for s in spec.CLIENT_FILES]
+    clients_present = [(p, t) for p, t in client_files if t is not None]
     all_clients_present = len(clients_present) == len(spec.CLIENT_FILES)
     sent = {}  # verb -> (path, line), first sender wins
-    for _, path, tree in clients_present:
+    for path, tree in clients_present:
         for verb, line in extract_sent_verbs(tree).items():
             sent.setdefault(verb, (path, line))
 
@@ -808,54 +732,31 @@ def check_protocol(files, rule) -> list:
         server_path, server_tree = find(spec.SERVER_FILES[layer])
         if server_tree is None:
             continue
-        handled_v1 = extract_handled_verbs(server_tree)
-        if has_method(server_tree, DISPATCH_METHOD_V2):
-            handled_v2 = extract_handled_verbs(
-                server_tree, DISPATCH_METHOD_V2
+        handled = extract_handled_verbs(server_tree)
+        declared = spec.verbs_for_layer(layer)
+        for verb in sorted(set(handled) - declared):
+            report(
+                server_path, handled[verb],
+                f"server dispatches verb {verb!r} not declared for layer "
+                f"{layer!r} in protocol_spec.py — add a spec entry",
             )
-            surfaces = [
-                ("v1", DISPATCH_METHOD, handled_v1,
-                 spec.verbs_for_layer(layer, "v1") - internal),
-                ("v2", DISPATCH_METHOD_V2, handled_v2,
-                 spec.verbs_for_layer(layer, "v2") - internal),
-            ]
-        else:
-            # legacy single-framing tree: one dispatch method is the
-            # whole layer surface, framings are not distinguished
-            handled_v2 = {}
-            surfaces = [
-                (None, DISPATCH_METHOD, handled_v1,
-                 spec.verbs_for_layer(layer)),
-            ]
-        for framing, method, handled, declared in surfaces:
-            where = f" in the {framing} framing ({method})" if framing else ""
-            for verb in sorted(set(handled) - declared):
-                report(
-                    server_path, handled[verb],
-                    f"server dispatches verb {verb!r}{where} not declared "
-                    f"for layer {layer!r} in protocol_spec.py — add a spec "
-                    f"entry",
-                )
-            dispatch_line = min(handled.values()) if handled else 1
-            for verb in sorted(declared - set(handled)):
-                report(
-                    server_path, dispatch_line,
-                    f"protocol_spec.py declares verb {verb!r} for layer "
-                    f"{layer!r} but this server never dispatches it"
-                    f"{where}",
-                )
+        dispatch_line = min(handled.values()) if handled else 1
+        for verb in sorted(declared - set(handled)):
+            report(
+                server_path, dispatch_line,
+                f"protocol_spec.py declares verb {verb!r} for layer "
+                f"{layer!r} but this server never dispatches it "
+                f"({DISPATCH_METHOD})",
+            )
         if all_clients_present:
-            handled_any = dict(handled_v2)
-            handled_any.update(handled_v1)
-            declared_any = spec.verbs_for_layer(layer) - internal
-            for verb in sorted(declared_any & set(handled_any)):
+            for verb in sorted(declared & set(handled)):
                 if verb not in sent:
                     report(
-                        server_path, handled_any[verb],
+                        server_path, handled[verb],
                         f"verb {verb!r} is dispatched here but no client "
                         f"ever sends it — dead protocol surface",
                     )
-    if any(t is not None for _, _, t in client_files):
+    if clients_present:
         for verb in sorted(set(sent) - documented):
             path, line = sent[verb]
             report(
@@ -864,33 +765,23 @@ def check_protocol(files, rule) -> list:
                 f"not document — add a spec entry",
             )
 
-    # framing tables: VERB_IDS (v2 ids in the codec) and V1_LINES (v1
-    # line templates in the transport) must each cover exactly the verbs
-    # the spec declares for that framing
-    for suffix, table_name, framing in (
-        (spec.CODEC_FILE, "VERB_IDS", "v2"),
-        (spec.TRANSPORT_FILE, "V1_LINES", "v1"),
-    ):
-        table_path, table_tree = find(suffix)
-        if table_tree is None:
-            continue
-        table = _module_string_dict_keys(table_tree).get(table_name)
-        if table is None:
-            continue  # table absent: nothing to diff (stub trees)
-        expected = spec.verbs_for_framing(framing)
-        for verb in sorted(set(table) - expected):
+    # the codec's VERB_IDS table must cover exactly the declared verbs
+    table_path, table_tree = find(spec.CODEC_FILE)
+    table = (_module_string_dict_keys(table_tree).get("VERB_IDS")
+             if table_tree is not None else None)
+    if table is not None:
+        for verb in sorted(set(table) - documented):
             report(
                 table_path, table[verb],
-                f"{table_name} has an entry for verb {verb!r} that "
-                f"protocol_spec.py does not declare for the {framing} "
-                f"framing — add/extend a spec entry",
+                f"VERB_IDS has an entry for verb {verb!r} that "
+                f"protocol_spec.py does not declare — add a spec entry",
             )
         table_line = min(table.values()) if table else 1
-        for verb in sorted(expected - set(table)):
+        for verb in sorted(documented - set(table)):
             report(
                 table_path, table_line,
-                f"protocol_spec.py declares verb {verb!r} for the "
-                f"{framing} framing but {table_name} has no entry for it",
+                f"protocol_spec.py declares verb {verb!r} but VERB_IDS "
+                f"has no entry for it",
             )
     return findings
 

@@ -1,19 +1,16 @@
-"""Extension study: wire-framing cost of the serving layer (v1 vs v2).
+"""Extension study: wire cost of the serving layer.
 
-The serving stack speaks two framings of the same verb set: the v1
-newline-delimited text protocol and the v2 length-prefixed binary
-protocol with pipelining and batch verbs (:mod:`repro.service.protocol`).
-This experiment replays one pinned workload through both framings at a
-matched batched arrival order — the transport expands v2 batches to the
-identical singles sequence over v1 — so the two legs *must* report the
-same hit rate and differ only in wire cost.  The measured quantity is the
-throughput ratio (the v2 speedup), plus both legs' absolute walls for the
-perf baseline to ratchet.
+This experiment replays one pinned workload through a live server as
+MGET/MSET batches over the binary frame protocol
+(:mod:`repro.service.protocol`).  The arrival order is pinned, so the hit
+rate repeats exactly and the measured quantity is the wire throughput:
+ops/s of the batched replay and its wall, for the perf baseline to
+ratchet.
 
 Unlike the figure reproductions this driver runs a live asyncio server,
-so the ``runner`` argument is not used for execution — but the two legs
-are accounted into its stats as cells (label ``wire-v1`` / ``wire-v2``)
-so ``repro perf record --suite service`` produces a baseline
+so the ``runner`` argument is not used for execution — but the leg is
+accounted into its stats as a cell (label ``wire-v2``) so
+``repro perf record --suite service`` produces a baseline
 ``repro perf compare`` can gate on.
 """
 
@@ -22,15 +19,17 @@ from __future__ import annotations
 import asyncio
 
 from ..obs.prof import clock, cpu_clock, peak_rss_kb
-from ..service.cli import _wire_one, build_service_parser
+from ..service.cli import build_service_parser, make_store
+from ..service.client import CacheClient
+from ..service.loadgen import replay_batched
+from ..service.server import CacheServer
 from ..workloads.mixes import EXAMPLE_MIX, build_workload
 from .common import ExperimentParams
 
-#: MGET/MSET chunk size of the batched replay (both legs)
+#: MGET/MSET chunk size of the batched replay
 BATCH = 64
 
-#: store geometry, pinned (the downsized regime; admission is exercised
-#: but identical across legs, so framing is the only variable)
+#: store geometry, pinned (the downsized regime, so admission is exercised)
 SHARDS = 2
 DATA_CAPACITY = 256
 
@@ -57,27 +56,41 @@ def _account(runner, label: str, wall_s: float, cpu_s: float,
     })
 
 
+async def _wire_leg(workload, args) -> dict:
+    """Replay ``workload`` batched against a fresh in-process server."""
+    server = CacheServer(make_store(args), port=0)
+    await server.start()
+    try:
+        client = CacheClient(server.host, server.port)
+        try:
+            result = await replay_batched(
+                client, workload,
+                value_bytes=args.value_bytes,
+                batch=BATCH,
+                sample_every=4,
+            )
+        finally:
+            await client.close()
+    finally:
+        await server.stop()
+    return result.summary()
+
+
 def run_service_wire(params: ExperimentParams | None = None, runner=None):
-    """Replay one workload over v1 and v2 framing; returns a dict."""
+    """Replay one workload batched over live sockets; returns a dict."""
     if params is None:
         params = ExperimentParams.from_env()
     refs = min(params.n_refs, 12_000)  # live servers: keep the wall short
     args = build_service_parser().parse_args(["bench-service"])
-    args.refs = refs
     args.seed = params.seed
-    args.scale = params.scale
     args.shards = SHARDS
     args.data_capacity = DATA_CAPACITY
-    args.batch = BATCH
     workload = build_workload(EXAMPLE_MIX, n_refs=refs, seed=params.seed,
                               scale=params.scale)
-    legs = {}
-    for protocol in ("v1", "v2"):
-        wall0, cpu0 = clock(), cpu_clock()
-        legs[protocol] = asyncio.run(_wire_one(protocol, workload, args))
-        _account(runner, f"wire-{protocol}", clock() - wall0,
-                 cpu_clock() - cpu0, legs[protocol]["ops"])
-    v1, v2 = legs["v1"], legs["v2"]
+    wall0, cpu0 = clock(), cpu_clock()
+    leg = asyncio.run(_wire_leg(workload, args))
+    _account(runner, "wire-v2", clock() - wall0, cpu_clock() - cpu0,
+             leg["ops"])
     return {
         "workload": workload.name,
         "refs_per_core": refs,
@@ -86,33 +99,18 @@ def run_service_wire(params: ExperimentParams | None = None, runner=None):
         "batch": BATCH,
         "shards": SHARDS,
         "data_capacity": DATA_CAPACITY,
-        "v1": v1,
-        "v2": v2,
-        "speedup": (v2["throughput_rps"] / v1["throughput_rps"]
-                    if v1["throughput_rps"] else 0.0),
-        "hit_rate_match": v1["hit_rate"] == v2["hit_rate"],
+        "v2": leg,
     }
 
 
 def format_service_wire(result: dict) -> str:
-    """Human-readable two-row table of the framing comparison."""
-    lines = []
-    lines.append(
-        f"Service wire framing: {result['workload']} "
-        f"({result['refs_per_core']} refs/core, batch {result['batch']})"
-    )
-    lines.append(
-        f"{'framing':<8} {'hit rate':>9} {'ops':>9} "
-        f"{'wall s':>8} {'rps':>10} {'p99 ms':>8}"
-    )
-    for name in ("v1", "v2"):
-        leg = result[name]
-        lines.append(
-            f"{name:<8} {leg['hit_rate']:>9.4f} {leg['ops']:>9d} "
-            f"{leg['wall_s']:>8.2f} {leg['throughput_rps']:>10.0f} "
-            f"{leg['p99_ms']:>8.3f}"
-        )
-    parity = ("hit rates identical" if result["hit_rate_match"]
-              else "HIT RATE MISMATCH")
-    lines.append(f"v2/v1 speedup: {result['speedup']:.2f}x ({parity})")
-    return "\n".join(lines)
+    """Human-readable one-row table of the batched replay."""
+    leg = result["v2"]
+    return "\n".join([
+        f"Service wire cost: {result['workload']} "
+        f"({result['refs_per_core']} refs/core, batch {result['batch']})",
+        f"{'hit rate':>9} {'ops':>9} {'wall s':>8} {'rps':>10} "
+        f"{'p99 ms':>8}",
+        f"{leg['hit_rate']:>9.4f} {leg['ops']:>9d} {leg['wall_s']:>8.2f} "
+        f"{leg['throughput_rps']:>10.0f} {leg['p99_ms']:>8.3f}",
+    ])

@@ -120,15 +120,11 @@ def render_dashboard(
         )
     server = snapshot.get("server")
     if server is not None:
-        total_conns = (server.get("connections_v1", 0)
-                       + server.get("connections_v2", 0))
         lines.append("")
         lines.append(
             f"uptime {_fmt_uptime(server.get('uptime_s', 0.0))} · "
-            f"conns {total_conns} "
-            f"(v1 {server.get('connections_v1', 0)} / "
-            f"v2 {server.get('connections_v2', 0)}, "
-            f"open {server.get('connections_open', 0)})"
+            f"conns {server.get('connections_accepted', 0)} "
+            f"(open {server.get('connections_open', 0)})"
             + (" · DRAINING" if server.get("draining") else "")
         )
     if spark:
@@ -227,7 +223,7 @@ def render_cluster_dashboard(
     lines.append("")
     lines.append(
         f"{'node':>8} {'state':>9} {'stored':>12} {'repl':>6} {'pendI':>6} "
-        f"{'stale':>6} {'races':>6} {'loop ms':>8} {'wire v1/v2':>11} "
+        f"{'stale':>6} {'races':>6} {'loop ms':>8} {'conns':>6} "
         f"{'up':>8}"
     )
     for name in sorted(nodes):
@@ -235,7 +231,7 @@ def render_cluster_dashboard(
         if block.get("unreachable") and "stored" not in block:
             # down before we ever got a CSTATUS: nothing cached to show
             lines.append(f"{name:>8} {'DOWN':>9} {'-':>12} {'-':>6} {'-':>6} "
-                         f"{'-':>6} {'-':>6} {'-':>8} {'-':>11} {'-':>8}")
+                         f"{'-':>6} {'-':>6} {'-':>8} {'-':>6} {'-':>8}")
             continue
         if block.get("unreachable"):
             state = f"DOWN*{block.get('stale_polls', 0)}"
@@ -244,8 +240,6 @@ def render_cluster_dashboard(
         else:
             state = "ok"
         stored = f"{block.get('stored', 0)}/{block.get('data_capacity', 0)}"
-        wire = (f"{block.get('connections_v1', 0)}"
-                f"/{block.get('connections_v2', 0)}")
         lines.append(
             f"{name:>8} {state:>9} {stored:>12} "
             f"{block.get('replicas_held', 0):>6} "
@@ -253,7 +247,7 @@ def render_cluster_dashboard(
             f"{block.get('stale_rejects', 0):>6} "
             f"{block.get('protocol_races', 0):>6} "
             f"{block.get('eventloop_lag_s', 0.0) * 1e3:>8.2f} "
-            f"{wire:>11} "
+            f"{block.get('connections_accepted', 0):>6} "
             f"{_fmt_uptime(block.get('uptime_s', 0.0)):>8}"
         )
     if unreachable:

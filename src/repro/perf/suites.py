@@ -62,7 +62,7 @@ _add(PerfSuite(
 
 _add(PerfSuite(
     name="service",
-    title="serving-layer wire cost (v1 vs v2 framing, live sockets)",
+    title="serving-layer wire cost (batched replay, live sockets)",
     experiments=("service-wire",),
     params=ExperimentParams(n_workloads=2, n_refs=4000, scale=32, seed=2013),
 ))

@@ -8,9 +8,9 @@ real GET/SET traffic with the same decision logic:
   data store);
 * :class:`~repro.service.sharding.ShardedStore` — hash-sharded front end;
 * :class:`~repro.service.server.CacheServer` — asyncio TCP server
-  (GET/SET/DEL/STATS protocol, connection limits, graceful shutdown);
-* :class:`~repro.service.client.CacheClient` — pooled asyncio client with
-  retry/backoff;
+  (binary frame protocol, connection limits, graceful shutdown);
+* :class:`~repro.service.client.CacheClient` — pipelining asyncio client
+  with retry/backoff;
 * :mod:`~repro.service.loadgen` — replays :mod:`repro.workloads` traces as
   cache traffic, closed-loop, so hit rates line up with the simulator's;
 * :class:`~repro.service.stats.ShardStats` — per-shard counters and

@@ -35,8 +35,7 @@ from ..obs import Observability
 from ..obs.prof import process_resources
 from ..obs.logging import configure as configure_logging
 from ..workloads.mixes import EXAMPLE_MIX, build_workload
-from .client import CacheClient
-from .loadgen import VALUE_BYTES, replay_batched, run_load
+from .loadgen import VALUE_BYTES, run_load
 from .protocol import install_uvloop
 from .server import CacheServer
 from .sharding import ShardedStore
@@ -113,12 +112,7 @@ def build_service_parser() -> argparse.ArgumentParser:
     bench.add_argument("--value-bytes", type=int, default=VALUE_BYTES)
     bench.add_argument("--pipeline", type=int, default=1,
                        help="concurrent workers per trace in the admission "
-                            "legs (v2 multiplexes them over one connection)")
-    bench.add_argument("--batch", type=int, default=64,
-                       help="MGET/MSET batch size for the wire-protocol "
-                            "comparison legs")
-    bench.add_argument("--no-wire", action="store_true",
-                       help="skip the v1-vs-v2 wire-protocol comparison")
+                            "legs (multiplexed over one connection)")
     bench.add_argument("--uvloop", action="store_true",
                        help="use uvloop's event loop if installed")
     bench.add_argument("--json", metavar="FILE", default=None,
@@ -281,70 +275,11 @@ async def _bench_one(admission, workload, args) -> dict:
     return summary, result.server_stats
 
 
-async def _wire_one(protocol: str, workload, args) -> dict:
-    """Replay the workload batched over one pinned wire framing.
-
-    Fresh identically-seeded store per leg and a deterministic batched
-    replay (one worker, pinned arrival order, v1 expands batches to the
-    same singles), so the two legs differ in *framing only* and must
-    report identical hit rates — the parity gate behind the quoted
-    speedup.
-    """
-    store = ShardedStore(
-        num_shards=args.shards,
-        data_capacity=args.data_capacity,
-        tag_capacity=args.tag_capacity,
-        tag_assoc=args.tag_assoc,
-        admission=args.admission,
-        seed=args.seed,
-    )
-    server = CacheServer(store, port=0)
-    await server.start()
-    try:
-        client = CacheClient(server.host, server.port, protocol=protocol)
-        try:
-            result = await replay_batched(
-                client, workload,
-                value_bytes=args.value_bytes,
-                batch=args.batch,
-                sample_every=4,
-            )
-        finally:
-            await client.close()
-    finally:
-        await server.stop()
-    summary = result.summary()
-    summary["protocol"] = protocol
-    summary["batch"] = args.batch
-    return summary
-
-
-def run_wire_benchmark(args, workload) -> dict:
-    """v1 text vs v2 binary framing at a matched batched workload."""
-
-    async def _run():
-        v1 = await _wire_one("v1", workload, args)
-        v2 = await _wire_one("v2", workload, args)
-        return v1, v2
-
-    v1, v2 = asyncio.run(_run())
-    return {
-        "v1": v1,
-        "v2": v2,
-        "batch": args.batch,
-        "speedup": (v2["throughput_rps"] / v1["throughput_rps"]
-                    if v1["throughput_rps"] else 0.0),
-        "hit_rate_match": v1["hit_rate"] == v2["hit_rate"],
-    }
-
-
 def run_service_benchmark(args=None, **overrides) -> dict:
     """Run the reuse-vs-always comparison; returns a JSON-safe dict.
 
     ``args`` is a parsed ``bench-service`` namespace; keyword overrides are
     applied on top (so tests and the bench harness can shrink the run).
-    The result carries a ``"wire"`` block — v1 text vs v2 binary framing
-    at a matched batched workload — unless ``--no-wire`` skipped it.
     """
     if args is None:
         args = build_service_parser().parse_args(["bench-service"])
@@ -374,8 +309,6 @@ def run_service_benchmark(args=None, **overrides) -> dict:
         "hit_rate_per_mb_gain":
             reuse["hit_rate_per_mb"] - always["hit_rate_per_mb"],
     }
-    if not getattr(args, "no_wire", False):
-        result["wire"] = run_wire_benchmark(args, workload)
     return result
 
 
@@ -401,26 +334,6 @@ def format_service_benchmark(result: dict) -> str:
         f"{result['hit_rate_gain']:+.4f} "
         f"({result['hit_rate_per_mb_gain']:+.3f} per MB)"
     )
-    wire = result.get("wire")
-    if wire:
-        lines.append(
-            f"wire protocol — batched replay (batch {wire['batch']}):"
-        )
-        lines.append(
-            f"{'framing':<10} {'hit rate':>9} {'rps':>9} {'p50 ms':>8} "
-            f"{'p99 ms':>8}"
-        )
-        for leg in ("v1", "v2"):
-            row = wire[leg]
-            lines.append(
-                f"{leg:<10} {row['hit_rate']:>9.4f} "
-                f"{row['throughput_rps']:>9.0f} {row['p50_ms']:>8.3f} "
-                f"{row['p99_ms']:>8.3f}"
-            )
-        parity = "identical" if wire["hit_rate_match"] else "MISMATCH"
-        lines.append(
-            f"v2/v1 speedup: {wire['speedup']:.2f}x (hit rates {parity})"
-        )
     return "\n".join(lines)
 
 

@@ -1,13 +1,11 @@
 """Asyncio client for the :mod:`repro.service` cache protocol.
 
 :class:`CacheClient` is a thin verb layer over one shared
-:class:`~repro.service.transport.Transport`: connection pooling, retry
-with exponential backoff, protocol negotiation (binary v2 frames with
-pipelining when the server speaks them, v1 text otherwise) and batch
-framing all live in the transport, so the cluster's ``PeerClient`` and
-``ClusterClient`` reuse the exact same plumbing instead of
-reimplementing it.  Protocol-level errors (``ERR ...``) are *not*
-retried, they raise :class:`ServerError` immediately.
+:class:`~repro.service.transport.Transport`: framing, pipelining, batch
+verbs and retry with exponential backoff all live in the transport, so
+the cluster's ``PeerClient`` and ``ClusterClient`` reuse the exact same
+plumbing instead of reimplementing it.  Protocol-level errors (``ERR``
+frames) are *not* retried, they raise :class:`ServerError` immediately.
 
 Typical use::
 
@@ -16,7 +14,7 @@ Typical use::
         if value is None:                       # miss: read through
             value = await fetch_from_backend()
             await client.set("user:42", value)  # admitted only on reuse
-        hot = await client.mget(["user:42", "user:43"])  # one round trip on v2
+        hot = await client.mget(["user:42", "user:43"])  # one round trip
 """
 
 from __future__ import annotations
@@ -27,82 +25,45 @@ from .transport import Reply, ServerError, Transport  # noqa: F401  (re-export)
 
 
 class CacheClient:
-    """Pooled asyncio client with retry/backoff and protocol negotiation.
+    """Pipelining asyncio client with retry/backoff.
 
     The key/value verbs accept an optional ``trace`` keyword — a
-    :class:`repro.obs.dist.TraceContext` carried as a trailing
-    ``T=<trace>/<span>`` text field (v1) or a typed trace frame field
-    (v2) — so a caller's span becomes the parent of the server-side
-    request span (distributed causal tracing).  ``trace=None`` (the
-    default) sends the exact same bytes as before the field existed.
+    :class:`repro.obs.dist.TraceContext` carried as the typed trace
+    frame field — so a caller's span becomes the parent of the
+    server-side request span (distributed causal tracing).
+    ``trace=None`` (the default) sends no trace field at all.
 
-    ``protocol`` pins the wire framing: ``"auto"`` (default) negotiates
-    v2 with v1 fallback at connect time, ``"v1"``/``"v2"`` force one
-    framing (forced v2 against a v1-only server raises
-    ``ConnectionError``).
+    ``protocol`` names the wire framing; ``"v2"`` is the only one there
+    is, and anything else raises :class:`ValueError`.
     """
-
-    #: response headers followed by a length-prefixed body; subclasses
-    #: (the cluster's peer client) extend this for their extra verbs
-    _BODY_TOKENS = ("VALUE", "STATS", "METRICS", "TRACE")
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 9876,
-        pool_size: int = 4,
         max_retries: int = 3,
         backoff: float = 0.05,
         timeout: float = 5.0,
-        protocol: str = "auto",
+        protocol: str = "v2",
         mux_conns: int = 1,
     ):
+        if protocol != "v2":
+            raise ValueError(f"protocol must be 'v2', got {protocol!r}")
         self.host = host
         self.port = port
-        self.pool_size = pool_size
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
         self.transport = Transport(
             host, port,
-            pool_size=pool_size,
             max_retries=max_retries,
             backoff=backoff,
             timeout=timeout,
-            mode=protocol,
             mux_conns=mux_conns,
-            body_tokens=self._BODY_TOKENS,
         )
 
-    # -- transport delegation -------------------------------------------------
-    #
-    # The pool internals moved into the Transport; these delegates keep
-    # the old surface (tests and operational probes inspect them).
-
-    @property
-    def protocol_version(self):
-        """Negotiated wire version: ``None`` before first use, then 1 or 2."""
-        return self.transport.version
-
-    @property
-    def _pool(self):
-        return self.transport._pool
-
-    @property
-    def _open(self) -> int:
-        return self.transport._open
-
-    async def _acquire(self):
-        return await self.transport._acquire()
-
-    def _release(self, conn) -> None:
-        self.transport._release(conn)
-
-    def _discard(self, conn) -> None:
-        self.transport._discard(conn)
-
     async def close(self) -> None:
-        """Close every connection; in-flight requests finish first."""
+        """Close every connection, failing any request still in flight."""
         await self.transport.close()
 
     async def __aenter__(self):
@@ -110,18 +71,6 @@ class CacheClient:
 
     async def __aexit__(self, *exc):
         await self.close()
-
-    # -- request plumbing ------------------------------------------------------
-
-    async def _request(self, payload: bytes):
-        """Send one hand-framed v1 text request; returns (tokens, body).
-
-        .. deprecated:: the text-only spelling survives for callers that
-           build raw request lines; new code calls :meth:`Transport.call`
-           (via the verb methods), which frames for the negotiated
-           protocol version and pipelines on v2.
-        """
-        return await self.transport._request(payload)
 
     # -- protocol commands -----------------------------------------------------
 
@@ -153,11 +102,8 @@ class CacheClient:
         raise ServerError(f"unexpected response {reply.status!r}")
 
     async def mget(self, keys, trace=None) -> list:
-        """Batch get: one ``bytes | None`` per key, in key order.
-
-        One round trip on v2; emulated as sequential GETs over v1, so the
-        observable store behaviour is framing-independent.
-        """
+        """Batch get: one ``bytes | None`` per key, in key order (one
+        round trip)."""
         keys = list(keys)
         if not keys:
             return []
@@ -224,8 +170,8 @@ class CacheClient:
     async def quit(self) -> bool:
         """Ask the server to close this connection after acking.
 
-        The server hangs up right after the ``BYE``; the transport drops
-        the dead connection on its next checkout.
+        The server hangs up right after the ``BYE``; the transport dials
+        a fresh connection for the next request.
         """
         reply = await self.transport.call("QUIT")
         return reply.status == "BYE"

@@ -14,7 +14,7 @@ Two harnesses share that conversion:
 
 * :func:`replay_store` — drive a store in-process (no sockets), the fastest
   way to compare admission policies at equal data capacity;
-* :func:`run_load` — closed-loop load against a running server: one pooled
+* :func:`run_load` — closed-loop load against a running server: one
   asyncio client per core-trace, each issuing its trace's requests
   back-to-back, measuring client-side throughput and latency quantiles.
 """
@@ -180,7 +180,7 @@ async def replay_with_client(
 
     ``client`` is anything with async ``get``/``set`` — a
     :class:`CacheClient` or a cluster-routing client — and is *shared* by
-    all trace workers (its pool provides the concurrency).  The caller
+    all trace workers (its pipelined connection provides the concurrency).  The caller
     keeps ownership: the client is not closed.
     """
     result = LoadResult(name=workload.name)
@@ -204,7 +204,7 @@ async def replay_interleaved(
     One worker round-robins the traces ref by ref — the live twin of
     :func:`replay_store`'s interleaving.  Concurrent workers
     (:func:`replay_with_client`) reach a different interleaving for every
-    pool/topology, which perturbs replacement locality by more than a
+    client/topology, which perturbs replacement locality by more than a
     capacity change moves the hit rate; sweeps that *compare* hit rates
     across topologies (``repro cluster bench``) need the arrival order
     pinned so capacity is the only variable.  The caller keeps ownership
@@ -253,10 +253,8 @@ async def _replay_addrs_batched(
     """Issue one address stream as MGET/MSET batches of ``batch`` refs.
 
     Each chunk is one MGET for the keys followed by one MSET offering
-    values for the misses (read-through).  The store sees exactly the
-    sequential op order of :func:`_replay_addrs` chunk by chunk — v1
-    transports expand the batches to the same singles — so hit rates are
-    framing-independent while round trips drop by ~``batch``×.
+    values for the misses (read-through), so round trips drop by
+    ~``batch``×.
     """
     for start in range(0, len(addrs), batch):
         chunk = addrs[start:start + batch]
@@ -305,10 +303,9 @@ async def replay_batched(
 
     The batched twin of :func:`replay_interleaved`: one worker walks the
     round-robin interleaved ref stream in MGET/MSET chunks of ``batch``.
-    Because the op order is pinned and batch emulation over v1 issues the
-    identical singles sequence, a v1 and a v2 run of this function report
-    *the same hit rate* — the parity gate ``bench-service`` relies on when
-    it quotes the v2 speedup.  The caller keeps ownership of the client.
+    The op order is pinned, so every run of this function against an
+    identically seeded store reports *the same hit rate*.  The caller
+    keeps ownership of the client.
     """
     result = LoadResult(name=workload.name)
     start = clock()
@@ -324,15 +321,13 @@ async def run_load(
     host: str,
     port: int,
     workload: Workload,
-    pool_size: int = 2,
     value_bytes: int = VALUE_BYTES,
     sample_every: int = 1,
     fetch_server_stats: bool = True,
     pipeline: int = 1,
     batch: int = 1,
-    protocol: str = "auto",
 ) -> LoadResult:
-    """Closed-loop run: one client (with ``pool_size`` connections) per trace.
+    """Closed-loop run: one client (one framed connection) per trace.
 
     Every core-trace of ``workload`` gets its own worker coroutine and
     client, all running concurrently; each worker issues its next request as
@@ -341,20 +336,16 @@ async def run_load(
     runs.
 
     ``pipeline`` splits each trace over N concurrent workers sharing the
-    trace's client (on v2 they multiplex one framed connection — many
-    requests in flight per socket); ``batch`` > 1 chunks each worker's
-    refs into MGET/MSET batch verbs; ``protocol`` pins the wire framing
-    (``auto``/``v1``/``v2``).
+    trace's client (they multiplex its framed connection — many requests
+    in flight per socket); ``batch`` > 1 chunks each worker's refs into
+    MGET/MSET batch verbs.
     """
     result = LoadResult(name=workload.name)
     log.debug(
         "load %s: %d trace(s) against %s:%d",
         workload.name, len(workload.traces), host, port,
     )
-    clients = [
-        CacheClient(host, port, pool_size=pool_size, protocol=protocol)
-        for _ in workload.traces
-    ]
+    clients = [CacheClient(host, port) for _ in workload.traces]
     start = clock()
     try:
         workers = []

@@ -1,28 +1,24 @@
 """Wire protocol v2: length-prefixed binary frames for :mod:`repro.service`.
 
-The v1 protocol is line-framed text — one request, one round trip, a
-fresh ``bytes`` per request.  v2 keeps the same verbs (plus batch verbs)
-but frames them as compact binary records so a connection can carry many
-requests in flight at once (pipelining) and both ends can reuse their
-encode buffers.
+Every request and response is one compact binary record, so a
+connection can carry many requests in flight at once (pipelining) and
+both ends can reuse their encode buffers.
 
 Frame layout (big-endian, 12-byte header)::
 
     offset  size  field
     ------  ----  -----------------------------------------------
-    0       1     magic      0xA8  (invalid UTF-8 start byte: a v1
-                             server answers "ERR request not utf-8"
-                             instead of hanging, which is what the
-                             negotiation handshake relies on)
+    0       1     magic      0xA8
     1       1     version    2
     2       1     verb id    requests: VERB_IDS; responses: STATUS_IDS
     3       1     flags      bit 0 (FLAG_TRACE): payload starts with a
                              u16-length-prefixed trace token
-                             ("<trace-id>/<span-id>", the same token v1
-                             carries as a trailing ``T=`` text field)
+                             ("T=<trace-id>/<span-id>")
     4       4     sequence   u32; responses echo the request's sequence,
                              which is how a pipelining client matches
-                             interleaved responses to callers
+                             interleaved responses to callers.  Requests
+                             start at 1 and never wrap to 0: sequence 0
+                             is the server's connection-level ERR
     8       4     length     u32 payload byte count (after the header)
 
 Payload fields are typed (see ``REQUEST_FIELDS``): strings are
@@ -35,7 +31,7 @@ Errors split by trust in the stream: :class:`FrameError` means the frame
 boundary itself is gone (bad magic, truncation, oversize) and the
 connection must drop; :class:`FieldError` means one well-framed payload
 was malformed — the server answers with an ERR frame and the connection
-stays usable, mirroring v1's ``ERR <reason>`` behaviour.
+stays usable.
 """
 
 from __future__ import annotations
@@ -43,8 +39,7 @@ from __future__ import annotations
 import asyncio
 import struct
 
-#: hard cap on a single value accepted over the wire (16 MiB); v1's
-#: ``server.MAX_VALUE_BYTES`` re-exports this
+#: hard cap on a single value accepted over the wire (16 MiB)
 MAX_VALUE_BYTES = 16 * 1024 * 1024
 #: hard cap on one frame's payload (a batch of values plus framing)
 MAX_FRAME_PAYLOAD = 32 * 1024 * 1024
@@ -60,9 +55,9 @@ HEADER_SIZE = HEADER.size
 FLAG_TRACE = 0x01
 
 # Request verb ids.  Plain literals on purpose: FLOW003 cross-checks these
-# keys against the version-aware protocol spec (devtools/flow).
+# keys against the protocol spec (devtools/flow).  Id 1 is retired (it was
+# the version-negotiation probe); ids are never renumbered.
 VERB_IDS = {
-    "HELLO": 1,
     "GET": 2,
     "SET": 3,
     "DEL": 4,
@@ -82,9 +77,9 @@ VERB_IDS = {
     "DRAIN": 21,
 }
 
-# Response status ids (the verb-id byte of a response frame).
+# Response status ids (the verb-id byte of a response frame); id 1 is
+# retired like the request id it answered.
 STATUS_IDS = {
-    "HELLO": 1,
     "VALUE": 2,
     "MISS": 3,
     "STORED": 4,
@@ -115,7 +110,6 @@ STATUS_NAMES = {v: k for k, v in STATUS_IDS.items()}
 #: bytes; ``version`` — u64; ``keys`` — u32 count + strings; ``items`` —
 #: u32 count + (string, bytes) pairs; ``blob`` — the raw payload rest.
 REQUEST_FIELDS = {
-    "HELLO": ("blob",),
     "GET": ("key",),
     "SET": ("key", "value"),
     "DEL": ("key",),
@@ -134,13 +128,6 @@ REQUEST_FIELDS = {
     "CSTATUS": (),
     "DRAIN": (),
 }
-
-#: HELLO probe payload.  The trailing newline matters: sent to a v1
-#: server, the frame reads as one garbage "line" that *terminates*, so
-#: readline() returns, the server answers ``ERR request not utf-8`` and
-#: the connection stays usable for the v1 fallback.
-HELLO_PAYLOAD = b"v2\n"
-
 
 class CodecError(Exception):
     """Base class for v2 framing/field errors."""
@@ -259,11 +246,15 @@ async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD,
                      first_byte: bytes = b""):
     """Read one v2 frame; ``None`` on clean EOF at a frame boundary.
 
-    ``first_byte`` lets the server's protocol sniffer hand back the byte
-    it peeked.  Truncation mid-frame, a wrong magic/version, or an
-    oversized payload raise :class:`FrameError` — the stream is
-    unframeable and the connection must drop.
+    ``first_byte`` hands back a byte the caller already read; it is
+    checked for the magic before anything else is read, so a stream that
+    does not open with a frame is rejected without waiting for a full
+    header.  Truncation mid-frame, a wrong magic/version, or an oversized
+    payload raise :class:`FrameError` — the stream is unframeable and the
+    connection must drop.
     """
+    if first_byte and first_byte[0] != MAGIC:
+        raise FrameError(f"bad magic {first_byte[0]:#x}")
     want = HEADER_SIZE - len(first_byte)
     try:
         header = first_byte + await reader.readexactly(want)

@@ -1,42 +1,43 @@
 """Asyncio TCP front end for a :class:`~repro.service.sharding.ShardedStore`.
 
-The server speaks two framings, detected per connection from the first
-byte: the binary v2 frame protocol of :mod:`repro.service.protocol`
-(magic byte ``0xA8``; pipelined requests, batch verbs, typed trace
-field — see ``docs/protocol.md``) and the original v1 text protocol
-below.  v1 is line-framed with length-prefixed values (one request,
-one response; see ``docs/service.md``):
+The server speaks the binary frame protocol of :mod:`repro.service.protocol`
+(magic byte ``0xA8``; pipelined requests, batch verbs, typed trace field —
+see ``docs/protocol.md``).  Every verb has one dispatch arm, in
+:meth:`CacheServer._serve_frame`:
 
-======================================  =========================================
-request                                 response
-======================================  =========================================
-``GET <key>\\n``                         ``VALUE <len>\\n<bytes>\\n`` or ``MISS\\n``
-``SET <key> <len>\\n<bytes>\\n``          ``STORED\\n`` or ``TAGGED\\n``
-``DEL <key>\\n``                         ``DELETED\\n`` or ``NOTFOUND\\n``
-``STATS\\n``                             ``STATS <len>\\n<json>\\n``
-``METRICS\\n``                           ``METRICS <len>\\n<prometheus-text>\\n``
-``PING\\n``                              ``PONG\\n``
-``QUIT\\n``                              ``BYE\\n`` and the connection closes
-``TRACE\\n``                             ``TRACE <len>\\n<jsonl>\\n`` (drains the
-                                        node's trace ring)
-======================================  =========================================
+======================  ==============================================
+request                 response status
+======================  ==============================================
+``GET key``             ``VALUE`` (value blob) or ``MISS``
+``SET key value``       ``STORED`` or ``TAGGED``
+``DEL key``             ``DELETED`` or ``NOTFOUND``
+``MGET keys``           ``VALUES`` (one optional value per key)
+``MSET items``          ``STATUSES`` (one stored-flag per item)
+``MDEL keys``           ``STATUSES`` (one removed-flag per key)
+``STATS``               ``STATS`` (JSON blob)
+``METRICS``             ``METRICS`` (Prometheus text blob)
+``TRACE``               ``TRACE`` (JSONL blob; drains the trace ring)
+``PING``                ``PONG``
+``QUIT``                ``BYE`` and the connection closes
+======================  ==============================================
 
-Every request line additionally accepts an optional trailing trace field
-``T=<trace-id>/<span-id>`` (see :mod:`repro.obs.dist`): the server opens
-its request span as a *child* of the caller's span, so a cluster write and
-the INVAL fan-out it triggers on peer nodes merge into one causal tree.
-The field is stripped before arity checks and ignored when tracing is off.
+A request may carry a trace token (see :mod:`repro.obs.dist`): the server
+opens its request span as a *child* of the caller's span, so a cluster
+write and the INVAL fan-out it triggers on peer nodes merge into one
+causal tree.  The token is ignored when tracing is off.
 
 ``TAGGED`` is the protocol-visible face of selective allocation: the server
 *declined* to store the value but recorded the key in the tag directory, so
-a client re-offering after the next miss will see ``STORED``.  Malformed
-requests get ``ERR <reason>\\n`` and keep the connection open; a request
-that exceeds ``request_timeout`` gets ``ERR timeout`` and the connection is
-dropped (its framing can no longer be trusted).
+a client re-offering after the next miss will see ``STORED``.  A malformed
+payload or a request that exceeds ``request_timeout`` gets an ``ERR`` frame
+echoing its sequence and the connection stays usable.  A stream the server
+cannot frame (bad magic, truncation, oversize) gets one ``ERR`` frame with
+sequence 0 and a reason, and the connection closes.
 
 Operational guards:
 
-* ``max_connections`` — further clients are turned away with ``ERR busy``;
+* ``max_connections`` — further clients get a sequence-0 ``ERR busy``
+  frame and are closed;
 * per-request timeouts via :func:`asyncio.wait_for`;
 * graceful shutdown — :meth:`CacheServer.stop` stops accepting, waits for
   in-flight requests to drain (bounded by ``drain_timeout``), then closes
@@ -71,7 +72,6 @@ from ..obs.dist import (
     current_context,
     leaf_args,
     parse_token,
-    pop_trace_token,
     span_args,
     use_context,
 )
@@ -79,9 +79,7 @@ from ..obs.logging import get_logger
 from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
 from .protocol import (
-    MAGIC,
     MAX_FRAME_PAYLOAD,
-    MAX_VALUE_BYTES,  # noqa: F401  (re-export; the codec owns the cap now)
     STATUS_IDS,
     VERB_NAMES,
     FieldError,
@@ -95,9 +93,6 @@ from .sharding import ShardedStore
 
 log = get_logger(__name__)
 
-#: hard cap on request-line length (fits any sane key)
-MAX_LINE_BYTES = 64 * 1024
-
 #: verbs whose first key records per-shard request latency
 _KEYED_VERBS = ("GET", "SET", "DEL", "MGET", "MSET", "MDEL")
 
@@ -107,7 +102,7 @@ _SERVER_SEQ = itertools.count(1)
 
 
 class ProtocolError(Exception):
-    """Client spoke a malformed request; reported as ``ERR <reason>``."""
+    """Client sent a malformed request; answered with an ``ERR`` frame."""
 
 
 class _Quit(Exception):
@@ -140,10 +135,9 @@ class CacheServer:
         self.eventloop_lag = 0.0
         #: clock() at bind time (None before start()); STATS reports uptime
         self.started_at = None
-        #: connections accepted per framing, so the v1/v2 negotiation mix
-        #: is observable from outside (STATS/CSTATUS and ``repro top``)
-        self.connections_v1 = 0
-        self.connections_v2 = 0
+        #: connections accepted (past the cap) since start; STATS, CSTATUS,
+        #: ``/metrics`` and ``repro top`` all read this one count
+        self.connections_accepted = 0
         if (self.obs.tracer.enabled
                 and hasattr(store, "set_decision_listener")):
             store.set_decision_listener(self._on_store_decision)
@@ -164,6 +158,11 @@ class CacheServer:
                 "repro_service_inflight",
                 lambda: float(self._inflight),
                 help="requests currently being processed",
+            )
+            registry.gauge_callback(
+                "repro_service_connections_accepted",
+                lambda: float(self.connections_accepted),
+                help="connections accepted since start",
             )
             registry.gauge(
                 "repro_service_max_connections",
@@ -199,9 +198,11 @@ class CacheServer:
     async def stop(self, drain_timeout: float = 5.0) -> None:
         """Graceful shutdown: stop accepting, drain in-flight, close idle.
 
-        Requests already being processed (including a SET whose body is still
-        arriving) are given ``drain_timeout`` seconds to complete and be
-        answered; connections sitting idle between requests are then closed.
+        Requests already being processed (a fully received frame whose
+        handler has not answered yet) are given ``drain_timeout`` seconds
+        to complete and be answered; connections sitting idle between
+        requests — including one holding a partly received frame, which is
+        not in flight — are then closed.
         """
         self._stopping = True
         log.info("stopping: draining %d in-flight request(s)", self._inflight)
@@ -270,37 +271,33 @@ class CacheServer:
     # -- connection handling --------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        enc = FrameEncoder()
         if self._stopping or len(self._writers) >= self.max_connections:
-            log.warning(
-                "rejecting connection: %s",
-                "shutting down" if self._stopping else "connection cap reached",
-            )
-            writer.write(b"ERR busy\n")
+            reason = "shutting down" if self._stopping else "busy"
+            log.warning("rejecting connection: %s", reason)
+            writer.write(enc.simple(STATUS_IDS["ERR"], 0, reason.encode()))
             try:
                 await writer.drain()
             except (ConnectionError, asyncio.CancelledError):
                 pass
             writer.close()
             return
+        self.connections_accepted += 1
         self._next_conn_id += 1
         conn_id = self._next_conn_id
         log.debug("connection %d opened", conn_id)
         self._writers.add(writer)
         try:
-            # protocol sniff: v2 frames open with the magic byte, which is
-            # an invalid UTF-8 start byte no v1 request line can begin with
-            first = await reader.read(1)
-            if first and first[0] == MAGIC:
-                self.connections_v2 += 1
-                self._count_framing("v2")
-                await self._serve_v2_connection(reader, writer, conn_id, first)
-            elif first:
-                self.connections_v1 += 1
-                self._count_framing("v1")
-                await self._serve_v1_connection(reader, writer, conn_id, first)
+            await self._serve_connection(reader, writer, conn_id, enc)
         except FrameError as exc:
             log.warning("connection %d: unframeable stream (%s), dropping",
                         conn_id, exc)
+            writer.write(enc.simple(STATUS_IDS["ERR"], 0,
+                                    str(exc).encode("utf-8")))
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client vanished mid-request
         finally:
@@ -312,55 +309,22 @@ class CacheServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_v1_connection(self, reader, writer, conn_id: int,
-                                   first: bytes = b"") -> None:
-        """The v1 text request loop: one line-framed request at a time.
-
-        ``first`` is the byte the protocol sniffer consumed; it belongs
-        to the first request line.
-        """
-        while not self._stopping:
-            line = await reader.readline()
-            if first:
-                line, first = first + line, b""
-            if not line:
-                break
-            if len(line) > MAX_LINE_BYTES:
-                writer.write(b"ERR line too long\n")
-                await writer.drain()
-                break
-            self._inflight += 1
-            try:
-                await asyncio.wait_for(
-                    self._handle_request(line, reader, writer, conn_id),
-                    self.request_timeout,
-                )
-            except asyncio.TimeoutError:
-                log.warning("connection %d: request timed out, dropping", conn_id)
-                writer.write(b"ERR timeout\n")
-                await writer.drain()
-                break
-            except ProtocolError as exc:
-                writer.write(f"ERR {exc}\n".encode("utf-8"))
-                await writer.drain()
-            except _Quit:
-                break
-            finally:
-                self._inflight -= 1
-
-    async def _serve_v2_connection(self, reader, writer, conn_id: int,
-                                   first: bytes = b"") -> None:
-        """The v2 frame loop: frames are handled as fast as they arrive.
+    async def _serve_connection(self, reader, writer, conn_id: int,
+                                enc) -> None:
+        """The frame loop: frames are handled as fast as they arrive.
 
         Pipelining falls out of the framing: every request is fully read
         before dispatch, so the loop never waits on the client mid-request
-        and many frames can be in flight per connection.  For the same
-        reason errors are gentler than v1 — a malformed payload or a
-        timed-out handler answers with an ERR frame and the connection
-        stays usable (the stream framing is still trusted); only an
-        unframeable byte stream (:class:`FrameError`) drops it.
+        and many frames can be in flight per connection.  A malformed
+        payload or a timed-out handler answers with an ERR frame and the
+        connection stays usable (the stream framing is still trusted);
+        only an unframeable byte stream (:class:`FrameError`) drops it.
+        The first byte is read on its own so a stream that does not open
+        with the magic byte is refused at once, not after a full header.
         """
-        enc = FrameEncoder()
+        first = await reader.read(1)
+        if not first:
+            return
         frame = await read_frame(reader, MAX_FRAME_PAYLOAD, first)
         while frame is not None and not self._stopping:
             self._inflight += 1
@@ -384,128 +348,19 @@ class CacheServer:
                 self._inflight -= 1
             frame = await read_frame(reader)
 
-    async def _handle_request(self, line: bytes, reader, writer,
-                              conn_id: int = 0) -> None:
-        """Frame one request: decode, pop the trace field, dispatch, record.
-
-        The trace field is stripped *before* arity checks so every verb
-        accepts it; with tracing enabled the dispatch runs under the
-        request's span context (:func:`use_context`), which is how
-        fan-outs deep inside the cluster layer find their parent.
-        """
-        try:
-            parts = line.decode("utf-8").split()
-        except UnicodeDecodeError:
-            raise ProtocolError("request not utf-8") from None
-        parts, wire_ctx = pop_trace_token(parts)
-        if not parts:
-            raise ProtocolError("empty request")
-        cmd = parts[0].upper()
-        start = clock()
-        tr = self.obs.tracer
-        if tr.enabled:
-            ctx = self._trace_ids.begin(wire_ctx)
-            with use_context(ctx):
-                outcome = await self._serve_request(
-                    cmd, parts, reader, writer, conn_id
-                )
-        else:
-            ctx = None
-            outcome = await self._serve_request(
-                cmd, parts, reader, writer, conn_id
-            )
-        await writer.drain()
-        self._record_request(
-            cmd, parts, start, clock() - start, conn_id, ctx, outcome
-        )
-
-    async def _serve_request(self, cmd: str, parts: list, reader, writer,
-                             conn_id: int = 0):
-        """Dispatch one decoded request; returns the outcome label (or None).
-
-        ``cmd`` is ``parts[0].upper()``; responses are written but not yet
-        drained (the caller drains once).  FLOW003 extracts the served
-        verbs from the ``cmd`` comparisons in this method — a new verb
-        needs its arm here, a spec entry, and a client sender.
-        """
-        if cmd == "GET":
-            key = self._one_key(parts)
-            value = self.store.get(key)
-            if value is None:
-                writer.write(b"MISS\n")
-                return "miss"
-            writer.write(b"VALUE %d\n" % len(value))
-            writer.write(value)
-            writer.write(b"\n")
-            return "hit"
-        elif cmd == "SET":
-            if len(parts) != 3:
-                raise ProtocolError("usage: SET <key> <len>")
-            key = parts[1]
-            try:
-                length = int(parts[2])
-            except ValueError:
-                raise ProtocolError(f"bad length {parts[2]!r}") from None
-            if not 0 <= length <= MAX_VALUE_BYTES:
-                raise ProtocolError(f"length {length} out of range")
-            try:
-                body = await reader.readexactly(length + 1)  # value + '\n'
-            except asyncio.IncompleteReadError:
-                raise ProtocolError("value body truncated") from None
-            if body[-1:] != b"\n":
-                raise ProtocolError("value not newline-terminated")
-            stored = self.store.set(key, body[:-1])
-            writer.write(b"STORED\n" if stored else b"TAGGED\n")
-            return "stored" if stored else "tagged"
-        elif cmd == "DEL":
-            key = self._one_key(parts)
-            removed = self.store.delete(key)
-            writer.write(b"DELETED\n" if removed else b"NOTFOUND\n")
-            return "deleted" if removed else "notfound"
-        elif cmd == "STATS":
-            payload = self._stats_payload()
-            writer.write(b"STATS %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        elif cmd == "METRICS":
-            payload = self.obs.registry.to_prometheus().encode("utf-8")
-            writer.write(b"METRICS %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        elif cmd == "TRACE":
-            payload = self.obs.tracer.drain().encode("utf-8")
-            writer.write(b"TRACE %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        elif cmd == "PING":
-            writer.write(b"PONG\n")
-        elif cmd == "QUIT":
-            writer.write(b"BYE\n")
-            await writer.drain()
-            raise _Quit
-        else:
-            raise ProtocolError(f"unknown command {cmd!r}")
-        return None
-
     async def _handle_frame(self, frame, enc, writer, conn_id: int = 0) -> None:
-        """Frame one v2 request: decode, pop the trace field, dispatch, record.
+        """Handle one request frame: decode, dispatch, record.
 
-        The v2 analogue of :meth:`_handle_request`: the typed trace frame
-        field replaces the trailing ``T=`` text token, and the decoded
-        positional fields replace the split request line.  ``HELLO`` (the
-        negotiation probe) is answered here and deliberately left out of
-        tracing and request accounting, so trace topology and counters
-        are identical whether or not clients negotiated.
+        The trace token is split off before the fields are decoded; with
+        tracing enabled the dispatch runs under the request's span context
+        (:func:`use_context`), which is how fan-outs deep inside the
+        cluster layer find their parent.
         """
         verb = VERB_NAMES.get(frame.verb_id)
         if verb is None:
             raise ProtocolError(f"unknown verb id {frame.verb_id}")
         token, rd = decode_trace(frame)
         fields = decode_request_fields(verb, rd)
-        if verb == "HELLO":
-            writer.write(enc.simple(STATUS_IDS["HELLO"], frame.seq, b"v2"))
-            await writer.drain()
-            return
         wire_ctx = parse_token(token) if token is not None else None
         start = clock()
         tr = self.obs.tracer
@@ -531,13 +386,14 @@ class CacheServer:
 
     async def _serve_frame(self, cmd: str, fields: list, seq: int, enc,
                            writer, conn_id: int = 0):
-        """Dispatch one decoded v2 frame; returns the outcome label (or None).
+        """Dispatch one decoded frame; returns the outcome label (or None).
 
         ``cmd`` is the verb name resolved from the frame's verb id and
         ``fields`` its typed payload fields (``REQUEST_FIELDS`` order).
-        FLOW003 extracts the v2-served verbs from the ``cmd`` comparisons
-        in this method, exactly as it reads :meth:`_serve_request` for v1
-        — a verb served in one framing but not the other is a finding.
+        Responses are written but not yet drained (the caller drains
+        once).  FLOW003 extracts the served verbs from the ``cmd``
+        comparisons in this method — a new verb needs its arm here, a
+        spec entry, a ``VERB_IDS`` id and a client sender.
         """
         if cmd == "GET":
             value = self.store.get(fields[0])
@@ -621,27 +477,18 @@ class CacheServer:
         """Apply one DEL; subclasses add cross-node invalidation."""
         return self.store.delete(key)
 
-    def _count_framing(self, framing: str) -> None:
-        if self.obs.registry.enabled:
-            self.obs.registry.counter(
-                "repro_service_connections_framing_total",
-                help="connections accepted, by negotiated wire framing",
-                framing=framing,
-            ).inc()
-
     def server_info(self) -> dict:
         """The ``"server"`` block of STATS: uptime and connection mix."""
         return {
             "uptime_s": self.uptime_s,
             "connections_open": len(self._writers),
-            "connections_v1": self.connections_v1,
-            "connections_v2": self.connections_v2,
+            "connections_accepted": self.connections_accepted,
             "draining": self._stopping,
             "eventloop_lag_s": self.eventloop_lag,
         }
 
     def _stats_payload(self) -> bytes:
-        """The STATS JSON document, shared by both wire framings."""
+        """The STATS JSON document."""
         snapshot = self.store.stats_snapshot()
         snapshot["process"] = {"pid": os.getpid(), **process_resources()}
         snapshot["server"] = self.server_info()
@@ -697,12 +544,6 @@ class CacheServer:
             name, cat=CAT_AUDIT, ts=clock(), pid=self.store.shard_of(key),
             tid=0, args=leaf_args(current_context(), key=key),
         )
-
-    @staticmethod
-    def _one_key(parts: list) -> str:
-        if len(parts) != 2:
-            raise ProtocolError(f"usage: {parts[0].upper()} <key>")
-        return parts[1]
 
 
 def _first_key(fields: list):

@@ -1,27 +1,18 @@
 """One shared client transport for the service and cluster protocols.
 
 Every client in the tree — :class:`~repro.service.client.CacheClient`,
-the cluster's ``PeerClient`` and ``ClusterClient`` — used to reimplement
-the same ``_request`` plumbing: a lazy connection pool, retry with
-exponential backoff, and v1 text framing.  :class:`Transport` is that
-plumbing extracted once, extended with wire protocol v2
-(:mod:`repro.service.protocol`): binary frames, request pipelining over
-multiplexed connections, and batch verbs.
+the cluster's ``PeerClient`` and ``ClusterClient`` — talks through
+:class:`Transport`: binary frames (:mod:`repro.service.protocol`),
+request pipelining over multiplexed connections, batch verbs, and retry
+with exponential backoff.
 
-Protocol negotiation happens on first use.  In ``auto`` mode the
-transport dials one connection and sends a v2 ``HELLO`` probe frame; a
-v2 server answers with a ``HELLO`` frame (magic first byte) and the
-probe connection becomes the first multiplexed v2 connection, while a
-v1 server answers a text ``ERR`` line (the probe frame decodes as one
-newline-terminated garbage line) and the transport falls back to v1
-text on pooled connections.  ``mode="v1"``/``mode="v2"`` pin the
-framing; forced v2 against a v1-only server raises
-:class:`ConnectionError` instead of falling back.
-
-Batch verbs (``MGET``/``MSET``/``MDEL``) are emulated over v1 as
-sequential singles, so callers get one behaviour — and identical
-operation order, which is what the bench's hit-rate parity gate relies
-on — regardless of the negotiated framing.
+There is one framing and no negotiation: the transport dials and sends
+frames straight away.  A server that will not serve a connection — at
+its connection cap, shutting down, or handed bytes it cannot frame —
+answers one ``ERR`` frame with sequence 0 and closes.  Request sequences
+start at 1 and never wrap to 0, so the transport turns that frame into a
+:class:`ConnectionError` carrying the server's reason, retried like any
+other transport failure.
 """
 
 from __future__ import annotations
@@ -30,55 +21,26 @@ import asyncio
 
 from ..obs.dist import wire_token
 from .protocol import (
-    HELLO_PAYLOAD,
-    MAGIC,
-    MAX_VALUE_BYTES,
-    REQUEST_FIELDS,
     FrameEncoder,
     FrameError,
     PayloadReader,
     STATUS_NAMES,
-    VERB_IDS,
     encode_request,
     read_frame,
 )
 
-#: batch verbs emulated as sequential singles over v1 text
-BATCH_VERBS = ("MGET", "MSET", "MDEL")
-
-#: v1 request-line templates per verb: positional fields fill ``{0}``,
-#: ``{1}``, ... and ``{n}`` is the byte length of the value body sent
-#: after the line.  Plain literal on purpose — FLOW003 cross-checks these
-#: keys against the protocol spec's v1 framing table, so a verb present
-#: here but absent from the spec (or vice versa) is a finding.
-V1_LINES = {
-    "GET": "GET {0}",
-    "SET": "SET {0} {n}",
-    "DEL": "DEL {0}",
-    "STATS": "STATS",
-    "METRICS": "METRICS",
-    "TRACE": "TRACE",
-    "PING": "PING",
-    "QUIT": "QUIT",
-    "REPL": "REPL {0} {1} {n}",
-    "INVAL": "INVAL {0} {1}",
-    "PUTS": "PUTS {0} {1}",
-    "RGET": "RGET {0}",
-    "CSTATUS": "CSTATUS",
-    "DRAIN": "DRAIN",
-}
 
 class ServerError(Exception):
-    """The server answered ``ERR <reason>`` (not retried)."""
+    """The server answered a request with an ``ERR`` frame (not retried)."""
 
 
 class Reply:
-    """One decoded response, framing-independent.
+    """One decoded response.
 
-    ``status`` is the v1 response token / v2 status name (``"VALUE"``,
-    ``"STORED"``, ...); ``body`` carries blob payloads (VALUE, STATS,
-    METRICS, TRACE, CSTATUS); ``values`` carries batch payloads — a list
-    of ``bytes | None`` for VALUES, a list of ``bool`` for STATUSES.
+    ``status`` is the status name (``"VALUE"``, ``"STORED"``, ...);
+    ``body`` carries blob payloads (VALUE, STATS, METRICS, TRACE,
+    CSTATUS); ``values`` carries batch payloads — a list of
+    ``bytes | None`` for VALUES, a list of ``bool`` for STATUSES.
     """
 
     __slots__ = ("status", "body", "values")
@@ -93,14 +55,13 @@ class Reply:
 
 
 class _MuxConn:
-    """One multiplexed v2 connection: many in-flight frames, one reader.
+    """One multiplexed connection: many in-flight frames, one reader.
 
     Requests are tagged with a per-connection sequence id; a background
     read loop matches response frames back to caller futures, so any
     number of tasks can pipeline through one socket.  A caller that
     times out or is cancelled just abandons its sequence id — the late
-    response is dropped on arrival and the connection stays healthy
-    (unlike v1, where an unconsumed response poisons the stream).
+    response is dropped on arrival and the connection stays healthy.
     """
 
     __slots__ = ("transport", "reader", "writer", "enc", "pending",
@@ -122,6 +83,13 @@ class _MuxConn:
                 frame = await read_frame(self.reader)
                 if frame is None:
                     raise ConnectionError("server closed connection")
+                if frame.seq == 0:
+                    # the server refused the connection (cap reached,
+                    # shutting down, or our stream was unframeable)
+                    raise ConnectionError(
+                        "server refused connection: "
+                        + frame.payload.decode("utf-8", "replace")
+                    )
                 fut = self.pending.pop(frame.seq, None)
                 if fut is not None and not fut.done():
                     fut.set_result(frame)
@@ -174,162 +142,51 @@ class _MuxConn:
 
 
 class Transport:
-    """Pooled, retrying, version-negotiating request transport.
+    """Pipelining, retrying request transport.
 
     One instance per (host, port) client; shared by many concurrent
-    coroutines.  v1 requests check pooled connections in and out
-    (``pool_size`` caps dials); v2 requests pipeline through up to
-    ``mux_conns`` multiplexed connections.  Transient transport failures
-    are retried with exponential backoff up to ``max_retries`` attempts;
-    ``ERR`` answers raise :class:`ServerError` immediately and are never
-    retried.
+    coroutines, which pipeline through up to ``mux_conns`` multiplexed
+    connections.  Transient transport failures are retried with
+    exponential backoff up to ``max_retries`` attempts; ``ERR`` answers
+    raise :class:`ServerError` immediately and are never retried.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 9876,
-        pool_size: int = 4,
         max_retries: int = 3,
         backoff: float = 0.05,
         timeout: float = 5.0,
-        mode: str = "auto",
         mux_conns: int = 1,
-        body_tokens=("VALUE", "STATS", "METRICS", "TRACE"),
     ):
-        if pool_size <= 0:
-            raise ValueError(f"pool_size must be positive, got {pool_size}")
-        if mode not in ("auto", "v1", "v2"):
-            raise ValueError(f"mode must be auto/v1/v2, got {mode!r}")
         self.host = host
         self.port = port
-        self.pool_size = pool_size
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self.mode = mode
         self.mux_conns = max(1, mux_conns)
-        self.body_tokens = tuple(body_tokens)
-        #: negotiated protocol version: None until first use, then 1 or 2
-        self.version = 1 if mode == "v1" else None
-        self._pool = asyncio.Queue()  # idle v1 (reader, writer) pairs
-        self._open = 0  # pooled/checked-out v1 conns + live mux conns
         self._mux = []  # live _MuxConn instances
         self._next_mux = 0
-        self._neg_lock = None  # created lazily: needs a running loop on 3.9
         self._closed = False
-
-    # -- negotiation ----------------------------------------------------------
-
-    async def _negotiate(self) -> None:
-        """Resolve ``self.version`` by probing the server once.
-
-        Serialised under a lazy lock so concurrent first requests probe
-        exactly once; dial failures retry with the transport's backoff.
-        """
-        if self.version is not None:
-            return
-        if self._neg_lock is None:
-            self._neg_lock = asyncio.Lock()
-        async with self._neg_lock:
-            if self.version is not None:
-                return
-            attempt = 0
-            while True:
-                try:
-                    await self._probe_once()
-                    return
-                except asyncio.CancelledError:
-                    raise
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        asyncio.IncompleteReadError) as exc:
-                    attempt += 1
-                    if attempt > self.max_retries:
-                        raise ConnectionError(
-                            f"negotiation failed after {attempt} attempts: {exc}"
-                        ) from exc
-                    await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    async def _probe_once(self) -> None:
-        """One HELLO probe: dial, send, sniff the first response byte.
-
-        On success the probe connection is committed — as the first mux
-        connection (v2) or into the v1 pool — so negotiation costs no
-        extra round trip.  On any failure (including cancellation) the
-        connection is closed and ``_open`` is untouched: the probe is
-        only counted once committed.
-        """
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.timeout
-        )
-        try:
-            enc = FrameEncoder()
-            writer.write(enc.simple(VERB_IDS["HELLO"], 0, HELLO_PAYLOAD))
-            await writer.drain()
-            first = await asyncio.wait_for(reader.readexactly(1), self.timeout)
-            if first[0] == MAGIC:
-                # v2 server: consume the HELLO response frame, keep the conn
-                frame = await asyncio.wait_for(
-                    read_frame(reader, first_byte=first), self.timeout
-                )
-                if frame is None or STATUS_NAMES.get(frame.verb_id) != "HELLO":
-                    raise ConnectionError("malformed HELLO response")
-                self.version = 2
-                # repro: atomic=committed under _neg_lock with no await between the version flip and the counter bump
-                self._open += 1
-                self._mux.append(_MuxConn(self, reader, writer))
-                return
-            if self.mode == "v2":
-                raise ConnectionError(
-                    f"server at {self.host}:{self.port} does not speak "
-                    f"protocol v2 (forced mode=v2)"
-                )
-            # v1 server: the probe frame read as one garbage line and was
-            # answered "ERR request not utf-8" — drain it, pool the conn
-            line = first + await asyncio.wait_for(reader.readline(), self.timeout)
-            if not line.endswith(b"\n"):
-                raise ConnectionError("server closed during negotiation")
-            self.version = 1
-            # repro: atomic=committed under _neg_lock with no await between the version flip and the counter bump
-            self._open += 1
-            self._pool.put_nowait((reader, writer))
-        except FrameError as exc:
-            writer.close()
-            raise ConnectionError(str(exc)) from exc
-        except BaseException:
-            # repro: atomic=probe conns are counted only once committed, so every failure path (cancel included) just closes
-            writer.close()
-            raise
-
-    # -- unified request API --------------------------------------------------
 
     async def call(self, verb: str, *fields, trace=None) -> Reply:
         """Send ``verb`` with positional ``fields``; returns a :class:`Reply`.
 
-        Negotiates the protocol on first use, frames the request for the
-        negotiated version, retries transient transport failures, and
-        raises :class:`ServerError` on an ``ERR`` answer.  ``trace`` is a
+        Retries transient transport failures and raises
+        :class:`ServerError` on an ``ERR`` answer.  ``trace`` is a
         :class:`~repro.obs.dist.TraceContext` carried as the typed trace
-        frame field (v2) or the trailing ``T=`` text field (v1).
+        frame field.
         """
         if self._closed:
             raise RuntimeError("client is closed")
-        if self.version is None:
-            await self._negotiate()
-        if verb in BATCH_VERBS and self.version == 1:
-            return await self._emulate_batch(verb, fields[0], trace)
         token = wire_token(trace) if trace is not None else None
         attempt = 0
         while True:
             try:
-                if self.version == 2:
-                    conn = await self._pick_mux()
-                    frame = await conn.call(verb, fields, token, self.timeout)
-                    return self._reply_v2(frame)
-                tokens, body = await self._request_once(
-                    _v1_payload(verb, fields, token)
-                )
-                return Reply(tokens[0], body=body)
+                conn = await self._pick_mux()
+                frame = await conn.call(verb, fields, token, self.timeout)
+                return self._reply(frame)
             except asyncio.CancelledError:
                 raise
             except (ConnectionError, asyncio.IncompleteReadError,
@@ -341,32 +198,7 @@ class Transport:
                     ) from exc
                 await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
 
-    async def _emulate_batch(self, verb: str, items, trace) -> Reply:
-        """Run a batch verb as sequential singles over a v1 connection.
-
-        Sequential on purpose: the operations hit the store in exactly
-        the order a v2 server applies a batch frame, so admission
-        decisions (and therefore hit rates) are framing-independent.
-        """
-        if verb == "MGET":
-            values = []
-            for key in items:
-                reply = await self.call("GET", key, trace=trace)
-                values.append(reply.body if reply.status == "VALUE" else None)
-            return Reply("VALUES", values=values)
-        if verb == "MSET":
-            flags = []
-            for key, value in items:
-                reply = await self.call("SET", key, value, trace=trace)
-                flags.append(reply.status == "STORED")
-            return Reply("STATUSES", values=flags)
-        flags = []
-        for key in items:
-            reply = await self.call("DEL", key, trace=trace)
-            flags.append(reply.status == "DELETED")
-        return Reply("STATUSES", values=flags)
-
-    def _reply_v2(self, frame) -> Reply:
+    def _reply(self, frame) -> Reply:
         status = STATUS_NAMES.get(frame.verb_id)
         if status is None:
             raise ConnectionError(f"unknown status id {frame.verb_id}")
@@ -383,7 +215,7 @@ class Transport:
             return Reply(status, values=values)
         return Reply(status, body=frame.payload if frame.payload else None)
 
-    # -- v2 connection management ---------------------------------------------
+    # -- connection management ------------------------------------------------
 
     async def _pick_mux(self) -> _MuxConn:
         """Round-robin over live mux connections, dialing up to the cap."""
@@ -392,10 +224,8 @@ class Transport:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port), self.timeout
             )
-            # repro: atomic=counter bumped in the same step the conn is registered; _drop_mux is the single decrement path
-            self._open += 1
             conn = _MuxConn(self, reader, writer)
-            # repro: atomic=concurrent dialers may briefly overshoot mux_conns; every conn is registered+counted, so close() still reaps all of them
+            # repro: atomic=concurrent dialers may briefly overshoot mux_conns; every conn is registered, so close() still reaps all of them
             self._mux.append(conn)
             return conn
         self._next_mux = (self._next_mux + 1) % len(self._mux)
@@ -404,146 +234,11 @@ class Transport:
     def _drop_mux(self, conn) -> None:
         if conn in self._mux:
             self._mux.remove(conn)
-            self._open -= 1
-
-    # -- v1 pool management ---------------------------------------------------
-
-    async def _acquire(self):
-        """Check a v1 connection out of the pool, dialing if allowed."""
-        if self._closed:
-            raise RuntimeError("client is closed")
-        while True:
-            try:
-                conn = self._pool.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if not conn[1].is_closing():
-                return conn
-            self._open -= 1  # stale connection: drop and look again
-        if self._open < self.pool_size:
-            self._open += 1
-            try:
-                return await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port), self.timeout
-                )
-            except BaseException:
-                # repro: atomic=releases the slot the += above reserved; every path balances the counter, no read is re-used across the await
-                self._open -= 1
-                raise
-        return await self._pool.get()
-
-    def _release(self, conn) -> None:
-        if self._closed or conn[1].is_closing():
-            self._discard(conn)
-        else:
-            self._pool.put_nowait(conn)
-
-    def _discard(self, conn) -> None:
-        self._open -= 1
-        conn[1].close()
-
-    # -- v1 request plumbing --------------------------------------------------
-
-    async def _request_once(self, payload: bytes):
-        """One v1 attempt on a pooled connection: no retries here."""
-        conn = None
-        try:
-            conn = await self._acquire()
-            reader, writer = conn
-            writer.write(payload)
-            await writer.drain()
-            header = await asyncio.wait_for(reader.readline(), self.timeout)
-            if not header:
-                raise ConnectionError("server closed connection")
-            tokens = header.decode("utf-8").split()
-            body = None
-            if tokens and tokens[0] in self.body_tokens:
-                length = int(tokens[1])
-                if not 0 <= length <= MAX_VALUE_BYTES:
-                    raise ConnectionError(f"insane body length {length}")
-                body = await asyncio.wait_for(
-                    reader.readexactly(length + 1), self.timeout
-                )
-                body = body[:-1]
-        except asyncio.CancelledError:
-            # cancelled from outside (e.g. a caller's wait_for) with the
-            # request possibly already on the wire: the pending response
-            # would poison the next request on this connection, so tear
-            # it down instead of repooling it
-            if conn is not None:
-                self._discard(conn)
-            raise
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.TimeoutError, OSError):
-            if conn is not None:  # dial failures never joined the pool
-                self._discard(conn)
-            raise
-        self._release(conn)
-        if tokens and tokens[0] == "ERR":
-            raise ServerError(" ".join(tokens[1:]))
-        return tokens, body
-
-    async def _request(self, payload: bytes):
-        """Send one raw v1 request line; retry loop around `_request_once`.
-
-        .. deprecated:: retained for callers that hand-build v1 text
-           payloads; new code goes through :meth:`call`, which frames for
-           the negotiated protocol version.
-        """
-        attempt = 0
-        while True:
-            try:
-                return await self._request_once(payload)
-            except asyncio.CancelledError:
-                raise
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    asyncio.TimeoutError, OSError) as exc:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise ConnectionError(
-                        f"request failed after {attempt} attempts: {exc}"
-                    ) from exc
-                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    # -- lifecycle ------------------------------------------------------------
 
     async def close(self) -> None:
-        """Close every connection; in-flight v1 requests finish first."""
+        """Close every connection, failing any request still in flight."""
         self._closed = True
         for conn in list(self._mux):
             await conn.aclose()
             # repro: atomic=iterating a snapshot; _drop_mux is a no-op for conns a concurrent _read_loop failure already removed
             self._drop_mux(conn)
-        while self._open > 0:
-            try:
-                reader, writer = await asyncio.wait_for(self._pool.get(), 1.0)
-            except asyncio.TimeoutError:
-                break  # still checked out; the holder discards on release
-            # repro: atomic=loop re-reads _open each pass; concurrent _discard only decrements, so the worst case is an early exit
-            self._open -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-
-def _v1_payload(verb: str, fields, token) -> bytes:
-    """Build the v1 text payload for ``verb`` from positional fields."""
-    template = V1_LINES.get(verb)
-    if template is None:
-        raise ServerError(f"verb {verb} has no v1 spelling")
-    body = None
-    args = []
-    for kind, field in zip(REQUEST_FIELDS[verb], fields):
-        if kind == "value":
-            body = field
-        else:
-            args.append(str(field))
-    line = template.format(*args, n=len(body) if body is not None else 0)
-    if token is not None:
-        line = f"{line} {token}"
-    payload = line.encode("utf-8") + b"\n"
-    if body is not None:
-        payload += body + b"\n"
-    return payload

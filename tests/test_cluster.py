@@ -672,20 +672,20 @@ class TestVersionCompaction:
 
 
 class TestClientCancellation:
-    def test_cancelled_request_tears_down_its_connection(self):
+    def test_cancelled_request_abandons_its_sequence(self):
         async def body():
             async def never_answer(reader, writer):
                 await asyncio.sleep(30)
 
             server = await asyncio.start_server(never_answer, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            client = CacheClient("127.0.0.1", port, pool_size=1)
+            client = CacheClient("127.0.0.1", port)
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(client.ping(), 0.2)
-            # the connection with a request in flight was discarded, not
-            # repooled — a late response can never poison the next request
-            assert client._open == 0
-            assert client._pool.qsize() == 0
+            # the cancelled caller gave up its sequence id: a late response
+            # is dropped on arrival instead of reaching the next caller
+            (conn,) = client.transport._mux
+            assert conn.pending == {}
             await client.close()
             server.close()
             await server.wait_closed()

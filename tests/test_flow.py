@@ -28,10 +28,7 @@ from repro.devtools.flow.protocol_spec import (
     CLIENT_FILES,
     CODEC_FILE,
     SPEC,
-    TRANSPORT_FILE,
     documented_verbs,
-    internal_verbs,
-    verbs_for_framing,
     verbs_for_layer,
 )
 from repro.devtools.lint.engine import format_json
@@ -318,30 +315,16 @@ class TestLockDiscipline:
 # -- FLOW003: wire-protocol conformance --------------------------------------
 
 
-SERVICE_ARMS = {
-    "GET": 'writer.write(b"VALUE 0\\n")',
-    "SET": 'writer.write(b"STORED\\n")',
-    "DEL": 'writer.write(b"DELETED\\n")',
-    "STATS": 'writer.write(b"STATS 0\\n")',
-    "METRICS": 'writer.write(b"METRICS 0\\n")',
-    "PING": 'writer.write(b"PONG\\n")',
-    "QUIT": 'writer.write(b"BYE\\n")',
-}
-
-
 def fake_server_source(verbs):
-    """A minimal ``_serve_request`` dispatching exactly ``verbs``."""
+    """A minimal ``_serve_frame`` dispatching exactly ``verbs``."""
     lines = [
         "class CacheServer:",
-        "    async def _serve_request(self, line, reader, writer):",
-        "        parts = line.decode('utf-8').split()",
-        "        cmd = parts[0].upper() if parts else ''",
+        "    async def _serve_frame(self, cmd, fields, seq, enc, writer):",
     ]
     keyword = "if"
     for verb in verbs:
-        arm = SERVICE_ARMS.get(verb, f'writer.write(b"{verb}ED\\n")')
         lines.append(f"        {keyword} cmd == {verb!r}:")
-        lines.append(f"            {arm}")
+        lines.append(f"            writer.write(b{verb!r})")
         keyword = "elif"
     return "\n".join(lines) + "\n"
 
@@ -387,11 +370,8 @@ class TestProtocolConformance:
             self.SERVER: fake_server_source(self.SERVICE_VERBS),
             "src/repro/service/client.py": textwrap.dedent("""
                 class CacheClient:
-                    async def _request(self, payload):
-                        return [], b""
-
                     async def frob(self):
-                        await self._request(b"FROB 1\\n")
+                        return await self.transport.call("FROB", "1")
             """),
         }
         findings = analyze_tree(sources, select={"FLOW003"})
@@ -407,8 +387,8 @@ class TestProtocolConformance:
             self.SERVER: fake_server_source(self.SERVICE_VERBS),
             "src/repro/service/client.py": (
                 "class CacheClient:\n"
-                "    async def _request(self, payload):\n"
-                "        return [], b''\n"
+                "    async def close(self):\n"
+                "        pass\n"
             ),
         }
         findings = analyze_tree(sources, select={"FLOW003"})
@@ -420,8 +400,8 @@ class TestProtocolConformance:
             sources.setdefault(
                 "src/" + client,
                 "class C:\n"
-                "    async def _request(self, payload):\n"
-                "        return [], b''\n",
+                "    async def close(self):\n"
+                "        pass\n",
             )
         findings = analyze_tree(sources, select={"FLOW003"})
         assert any(
@@ -434,73 +414,49 @@ class TestProtocolConformance:
         assert findings == []
 
 
-def fake_framed_server_source(v1_verbs, v2_verbs):
-    """A server dispatching ``v1_verbs`` in ``_serve_request`` and
-    ``v2_verbs`` in ``_serve_frame`` (framing-aware shape)."""
-    src = fake_server_source(v1_verbs)
-    lines = [
-        "    async def _serve_frame(self, cmd, fields, seq, enc, writer):",
-    ]
-    keyword = "if"
-    for verb in v2_verbs:
-        lines.append(f"        {keyword} cmd == {verb!r}:")
-        lines.append(f"            writer.write(b{verb!r})")
-        keyword = "elif"
-    return src + "\n".join(lines) + "\n"
-
-
 class TestFramingConformance:
-    """FLOW003's version-aware half: v1 vs v2 dispatch surfaces and the
-    VERB_IDS / V1_LINES framing tables."""
+    """FLOW003's codec half: the ``_serve_frame`` dispatch surface and the
+    ``VERB_IDS`` table."""
 
     SERVER = "src/repro/service/server.py"
-    V1_VERBS = sorted(verbs_for_layer("service", "v1") - internal_verbs())
-    V2_VERBS = sorted(verbs_for_layer("service", "v2") - internal_verbs())
-
-    def test_spec_declares_batch_verbs_v2_only(self):
-        assert {"MGET", "MSET", "MDEL"} <= verbs_for_framing("v2")
-        assert not ({"MGET", "MSET", "MDEL"} & verbs_for_framing("v1"))
-        assert "HELLO" in internal_verbs()
+    SERVICE_VERBS = sorted(verbs_for_layer("service"))
 
     def test_conforming_framed_server_is_silent(self):
+        # both halves at once: a ``_serve_frame`` with an arm for every
+        # service verb and a ``VERB_IDS`` table naming every documented verb
         sources = {
-            self.SERVER: fake_framed_server_source(
-                self.V1_VERBS, self.V2_VERBS
-            )
+            self.SERVER: fake_server_source(self.SERVICE_VERBS),
+            "src/" + CODEC_FILE: self._table_source(
+                "VERB_IDS", sorted(documented_verbs())
+            ),
         }
         assert analyze_tree(sources, select={"FLOW003"}) == []
 
     def test_verb_missing_from_v2_framing_fires(self):
-        # MGET declared for v2 but only the v1 loop grew... no arm: finding
-        v2 = [v for v in self.V2_VERBS if v != "MGET"]
-        sources = {
-            self.SERVER: fake_framed_server_source(self.V1_VERBS, v2)
-        }
+        verbs = [v for v in self.SERVICE_VERBS if v != "MGET"]
+        sources = {self.SERVER: fake_server_source(verbs)}
         findings = analyze_tree(sources, select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
         assert "'MGET'" in findings[0].message
         assert "never dispatches" in findings[0].message
-        assert "v2" in findings[0].message
+        assert "_serve_frame" in findings[0].message
 
-    def test_v2_only_verb_in_v1_dispatch_fires(self):
-        # wiring a batch verb into the v1 line loop without declaring the
-        # framing in the spec is a finding
-        sources = {
-            self.SERVER: fake_framed_server_source(
-                self.V1_VERBS + ["MGET"], self.V2_VERBS
-            )
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
+    def test_other_dispatch_methods_are_not_the_surface(self):
+        # an arm outside ``_serve_frame`` serves nothing: the verb is
+        # still reported as never dispatched
+        verbs = [v for v in self.SERVICE_VERBS if v != "QUIT"]
+        source = fake_server_source(verbs) + (
+            "    async def _serve_request(self, cmd):\n"
+            "        if cmd == 'QUIT':\n"
+            "            pass\n"
+        )
+        findings = analyze_tree({self.SERVER: source}, select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
-        assert "'MGET'" in findings[0].message
-        assert "v1" in findings[0].message
-        assert "add a spec entry" in findings[0].message
+        assert "'QUIT'" in findings[0].message
 
     def test_call_sender_with_undocumented_verb_fires(self):
         sources = {
-            self.SERVER: fake_framed_server_source(
-                self.V1_VERBS, self.V2_VERBS
-            ),
+            self.SERVER: fake_server_source(self.SERVICE_VERBS),
             "src/repro/service/client.py": textwrap.dedent("""
                 class CacheClient:
                     async def frob(self):
@@ -517,7 +473,7 @@ class TestFramingConformance:
         return f"{name} = {{{entries}}}\n"
 
     def test_codec_table_missing_verb_fires(self):
-        verbs = sorted(verbs_for_framing("v2") - {"MDEL"})
+        verbs = sorted(documented_verbs() - {"MDEL"})
         sources = {
             "src/" + CODEC_FILE: self._table_source("VERB_IDS", verbs)
         }
@@ -527,7 +483,7 @@ class TestFramingConformance:
         assert "VERB_IDS" in findings[0].message
 
     def test_codec_table_extra_verb_fires(self):
-        verbs = sorted(verbs_for_framing("v2")) + ["FROB"]
+        verbs = sorted(documented_verbs()) + ["FROB"]
         sources = {
             "src/" + CODEC_FILE: self._table_source("VERB_IDS", verbs)
         }
@@ -535,21 +491,9 @@ class TestFramingConformance:
         assert codes(findings) == ["FLOW003"]
         assert "'FROB'" in findings[0].message
 
-    def test_v1_table_is_checked_in_transport(self):
-        verbs = sorted(verbs_for_framing("v1") - {"QUIT"})
-        sources = {
-            "src/" + TRANSPORT_FILE: self._table_source("V1_LINES", verbs)
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
-        assert codes(findings) == ["FLOW003"]
-        assert "'QUIT'" in findings[0].message
-        assert "V1_LINES" in findings[0].message
-
-    def test_stub_transport_without_table_is_silent(self):
-        # a partial tree (no V1_LINES dict at all) proves nothing
-        sources = {
-            "src/" + TRANSPORT_FILE: "class Transport:\n    pass\n"
-        }
+    def test_stub_codec_without_table_is_silent(self):
+        # a partial tree (no VERB_IDS dict at all) proves nothing
+        sources = {"src/" + CODEC_FILE: "class FrameEncoder:\n    pass\n"}
         assert analyze_tree(sources, select={"FLOW003"}) == []
 
 

@@ -24,7 +24,6 @@ from repro.obs.dist import (
     leaf_args,
     merge_node_traces,
     parse_token,
-    pop_trace_token,
     span_args,
     trace_topology,
     use_context,
@@ -58,21 +57,6 @@ class TestWireToken:
         assert parse_token("T=missing-slash") is None
         assert parse_token("T=/x") is None
         assert parse_token("T=x/") is None
-
-    def test_pop_strips_only_a_trailing_token(self):
-        parts, ctx = pop_trace_token(["SET", "k", "5", "T=t/s"])
-        assert parts == ["SET", "k", "5"]
-        assert ctx.trace_id == "t" and ctx.span_id == "s"
-
-    def test_pop_leaves_tokenless_lines_alone(self):
-        parts, ctx = pop_trace_token(["GET", "k"])
-        assert parts == ["GET", "k"] and ctx is None
-        parts, ctx = pop_trace_token([])
-        assert parts == [] and ctx is None
-
-    def test_pop_leaves_malformed_token_in_place(self):
-        parts, ctx = pop_trace_token(["GET", "T=broken"])
-        assert parts == ["GET", "T=broken"] and ctx is None
 
 
 class TestSpanIds:

@@ -1,4 +1,4 @@
-"""Tests for the v2 wire protocol: codec, framing fuzz cases, negotiation,
+"""Tests for the v2 wire protocol: codec, framing fuzz cases, dialing,
 pipelining, batch verbs, and the unified transport."""
 
 import asyncio
@@ -27,7 +27,7 @@ from repro.service.protocol import (
     encode_request,
     read_frame,
 )
-from repro.service.transport import Transport, _v1_payload
+from repro.service.transport import Transport
 
 
 def run(coro):
@@ -84,6 +84,9 @@ class TestCodecRoundtrip:
                 assert token is None
                 assert decode_request_fields(verb, rd) == fields
         run(body())
+
+    def test_status_names_cover_ids(self):
+        assert set(STATUS_NAMES) == set(STATUS_IDS.values())
 
     def test_trace_token_roundtrips(self):
         async def body():
@@ -146,7 +149,7 @@ class TestFramingErrors:
     def test_bad_magic_raises(self):
         async def body():
             raw = bytearray(self._whole())
-            raw[0] = 0x41  # 'A' — looks like a v1 line
+            raw[0] = 0x41  # 'A' — looks like a text line
             with pytest.raises(FrameError, match="bad magic"):
                 await read_frame(feed(bytes(raw)))
         run(body())
@@ -232,31 +235,17 @@ class TestPayloadReader:
 
 
 # ---------------------------------------------------------------------------
-# negotiation: v2 preferred, v1 fallback
+# dialing: frames from the first byte, no negotiation
 # ---------------------------------------------------------------------------
 
 
-async def _v1_only_server():
-    """A minimal line-framed v1 server (pre-v2 software, for fallback)."""
+async def _line_server():
+    """A peer that does not speak frames: it answers whatever arrives
+    with a text ``ERR`` line."""
 
     async def handle(reader, writer):
-        while True:
-            try:
-                line = await reader.readline()
-            except (ConnectionError, OSError):
-                break
-            if not line:
-                break
-            try:
-                parts = line.decode("utf-8").split()
-            except UnicodeDecodeError:
-                writer.write(b"ERR request not utf-8\n")
-                await writer.drain()
-                continue
-            if parts and parts[0].upper() == "PING":
-                writer.write(b"PONG\n")
-            else:
-                writer.write(b"ERR unknown\n")
+        while await reader.read(64):
+            writer.write(b"ERR unknown command\n")
             await writer.drain()
         writer.close()
 
@@ -271,30 +260,19 @@ class TestNegotiation:
             try:
                 async with CacheClient("127.0.0.1", server.port) as c:
                     assert await c.ping()
-                    assert c.protocol_version == 2
+                    assert len(c.transport._mux) == 1
+                with pytest.raises(ValueError, match="v2"):
+                    CacheClient("127.0.0.1", server.port, protocol="v1")
             finally:
                 await server.stop()
         run(body())
 
-    def test_auto_falls_back_to_v1_against_old_server(self):
-        async def body():
-            server, port = await _v1_only_server()
-            try:
-                async with CacheClient("127.0.0.1", port) as c:
-                    assert await c.ping()
-                    assert c.protocol_version == 1
-            finally:
-                server.close()
-                await server.wait_closed()
-        run(body())
-
     def test_forced_v2_against_old_server_errors(self):
         async def body():
-            server, port = await _v1_only_server()
+            server, port = await _line_server()
             try:
-                transport = Transport("127.0.0.1", port, mode="v2",
-                                      max_retries=0)
-                with pytest.raises(ConnectionError):
+                transport = Transport("127.0.0.1", port, max_retries=0)
+                with pytest.raises(ConnectionError, match="magic"):
                     await transport.call("PING")
                 await transport.close()
             finally:
@@ -302,26 +280,12 @@ class TestNegotiation:
                 await server.wait_closed()
         run(body())
 
-    def test_forced_v1_against_new_server_works(self):
-        async def body():
-            server = await _started_server()
-            try:
-                c = CacheClient("127.0.0.1", server.port, protocol="v1")
-                try:
-                    assert await c.ping()
-                    assert c.protocol_version == 1
-                finally:
-                    await c.close()
-            finally:
-                await server.stop()
-        run(body())
-
     def test_probe_failure_leaves_no_connections(self):
         async def body():
             transport = Transport("127.0.0.1", 1, max_retries=0)
             with pytest.raises((ConnectionError, OSError)):
                 await transport.call("PING")
-            assert transport._open == 0
+            assert transport._mux == []
             await transport.close()
         run(body())
 
@@ -346,7 +310,7 @@ class TestPipelining:
                         *[c.get(k) for k in keys]
                     )
                     assert values == [k.encode() for k in keys]
-                    assert c.transport._open == 1
+                    assert len(c.transport._mux) == 1
             finally:
                 await server.stop()
         run(body())
@@ -384,27 +348,23 @@ class TestPipelining:
 
 
 # ---------------------------------------------------------------------------
-# batch verbs, on both framings
+# batch verbs
 # ---------------------------------------------------------------------------
 
 
 class TestBatchVerbs:
-    @pytest.mark.parametrize("protocol", ["v2", "v1"])
-    def test_mset_mget_mdel_roundtrip(self, protocol):
+    def test_mset_mget_mdel_roundtrip(self):
         async def body():
             server = await _started_server(num_shards=2, data_capacity=1024,
                                            admission="always")
             try:
-                c = CacheClient("127.0.0.1", server.port, protocol=protocol)
-                try:
+                async with CacheClient("127.0.0.1", server.port) as c:
                     flags = await c.mset([("a", b"1"), ("b", b"2")])
                     assert flags == [True, True]
                     assert await c.mget(["a", "missing", "b"]) == \
                         [b"1", None, b"2"]
                     assert await c.mdel(["a", "missing"]) == [True, False]
                     assert await c.mget(["a", "b"]) == [None, b"2"]
-                finally:
-                    await c.close()
             finally:
                 await server.stop()
         run(body())
@@ -449,22 +409,3 @@ class TestBatchVerbs:
                 await server.stop()
         run(body())
 
-
-# ---------------------------------------------------------------------------
-# v1 payload builder (the transport's line framing table)
-# ---------------------------------------------------------------------------
-
-
-class TestV1Payload:
-    def test_simple_verbs(self):
-        assert _v1_payload("PING", (), None) == b"PING\n"
-        assert _v1_payload("GET", ("k",), None) == b"GET k\n"
-
-    def test_value_becomes_sized_body(self):
-        assert _v1_payload("SET", ("k", b"abc"), None) == b"SET k 3\nabc\n"
-
-    def test_trace_token_is_trailing_field(self):
-        assert _v1_payload("GET", ("k",), "T=1/2") == b"GET k T=1/2\n"
-
-    def test_status_names_cover_ids(self):
-        assert set(STATUS_NAMES) == set(STATUS_IDS.values())

@@ -118,12 +118,6 @@ class TestRunCLI:
         assert main(plan) == 0
         assert "8 cell(s), 8 already cached" in capsys.readouterr().out
 
-    def test_legacy_spelling_forwards_with_deprecation(self, capsys):
-        assert main(["fig1a", *[a for a in TINY]]) == 0
-        captured = capsys.readouterr()
-        assert "DEPRECATED" in captured.err
-        assert "live" in captured.out.lower()
-
 
 class TestFromEnvValidation:
     @pytest.mark.parametrize("var", ["REPRO_WORKLOADS", "REPRO_REFS",

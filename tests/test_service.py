@@ -19,6 +19,13 @@ from repro.service import (
     value_of,
 )
 from repro.service.cli import build_service_parser, run_service_benchmark
+from repro.service.protocol import (
+    STATUS_NAMES,
+    VERB_IDS,
+    FrameEncoder,
+    encode_request,
+    read_frame,
+)
 from repro.service.stats import ShardStats
 from repro.workloads.mixes import EXAMPLE_MIX, build_workload
 
@@ -26,6 +33,18 @@ from repro.workloads.mixes import EXAMPLE_MIX, build_workload
 def run(coro):
     """Drive one async test body (no pytest-asyncio in the toolchain)."""
     return asyncio.run(asyncio.wait_for(coro, 60))
+
+
+async def _status(reader):
+    """Read one response frame off a raw socket: ``(status, seq, payload)``."""
+    frame = await read_frame(reader)
+    return STATUS_NAMES[frame.verb_id], frame.seq, frame.payload
+
+
+async def _connections_settle(server, want: int = 0):
+    """Wait (bounded by the test timeout) until ``server.connections == want``."""
+    while server.connections != want:
+        await asyncio.sleep(0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +308,32 @@ class TestServerProtocol:
             try:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port)
-                writer.write(b"FROB key\n")
-                assert (await reader.readline()).startswith(b"ERR")
-                writer.write(b"SET toofew\n")
-                assert (await reader.readline()).startswith(b"ERR")
-                writer.write(b"PING\n")          # still usable
-                assert await reader.readline() == b"PONG\n"
+                enc = FrameEncoder()
+                writer.write(enc.simple(99, 1))             # unknown verb id
+                assert (await _status(reader))[:2] == ("ERR", 1)
+                writer.write(enc.simple(VERB_IDS["SET"], 2, b"\x00"))
+                status, seq, reason = await _status(reader)  # cut payload
+                assert (status, seq) == ("ERR", 2) and b"truncated" in reason
+                writer.write(encode_request(enc, "PING", [], 3))
+                assert (await _status(reader))[:2] == ("PONG", 3)  # usable
                 writer.close()
+            finally:
+                await server.stop()
+        run(body())
+
+    def test_unframeable_stream_gets_one_err_frame_then_eof(self):
+        async def body():
+            server = await _started_server()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"GET k\n")           # a line, not a frame
+                status, seq, reason = await _status(reader)
+                assert (status, seq) == ("ERR", 0) and b"magic" in reason
+                assert await read_frame(reader) is None  # then EOF
+                writer.close()
+                await _connections_settle(server)
+                assert server.connections_accepted == 1
             finally:
                 await server.stop()
         run(body())
@@ -332,12 +370,37 @@ class TestServerProtocol:
         async def body():
             server = await _started_server(max_connections=1)
             try:
+                enc = FrameEncoder()
                 r1, w1 = await asyncio.open_connection("127.0.0.1", server.port)
-                w1.write(b"PING\n")
-                assert await r1.readline() == b"PONG\n"
+                w1.write(encode_request(enc, "PING", [], 1))
+                assert (await _status(r1))[:2] == ("PONG", 1)
                 r2, w2 = await asyncio.open_connection("127.0.0.1", server.port)
-                assert (await r2.readline()).startswith(b"ERR busy")
+                assert await _status(r2) == ("ERR", 0, b"busy")
+                assert await read_frame(r2) is None
                 w1.close(); w2.close()
+            finally:
+                await server.stop()
+        run(body())
+
+    def test_busy_server_refusal_does_not_stick(self):
+        # a client whose first dial meets the connection cap fails with
+        # the server's reason, then works once the slot frees
+        async def body():
+            server = await _started_server(max_connections=1)
+            try:
+                holder = CacheClient("127.0.0.1", server.port)
+                assert await holder.ping()
+                late = CacheClient("127.0.0.1", server.port,
+                                   max_retries=1, backoff=0.01)
+                with pytest.raises(ConnectionError, match="busy"):
+                    await late.ping()
+                await holder.close()
+                await _connections_settle(server)
+                assert await late.ping()
+                assert await late.set("k", b"v") is False  # TAGGED
+                await late.close()
+                await _connections_settle(server)
+                assert server.connections == 0
             finally:
                 await server.stop()
         run(body())
@@ -381,26 +444,30 @@ class TestGracefulShutdown:
         async def body():
             server = await _started_server(admission="always",
                                            request_timeout=10.0)
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port)
-            # start a SET but hold back the value body: request is in flight
-            writer.write(b"SET slow 5\n")
-            await writer.drain()
-            while server.inflight == 0:     # wait until the server parsed it
+            release = asyncio.Event()
+            apply_set = server._apply_set
+
+            async def held_set(key, value):
+                await release.wait()         # the handler is mid-request
+                return await apply_set(key, value)
+
+            server._apply_set = held_set
+            client = CacheClient("127.0.0.1", server.port)
+            setter = asyncio.ensure_future(client.set("slow", b"hello"))
+            while server.inflight == 0:     # wait until the frame is in
                 await asyncio.sleep(0.001)
             stopper = asyncio.ensure_future(server.stop(drain_timeout=5.0))
             await asyncio.sleep(0.05)       # stop() is now draining
             assert not stopper.done()
-            writer.write(b"hello\n")        # complete the request
-            await writer.drain()
-            assert await reader.readline() == b"STORED\n"  # answered, not cut
+            release.set()                   # let the handler finish
+            assert await setter is True     # answered, not cut
             await stopper
             assert server.inflight == 0
             # new connections are refused after shutdown
             with pytest.raises((ConnectionError, OSError)):
                 r, w = await asyncio.open_connection("127.0.0.1", server.port)
                 w.close()
-            writer.close()
+            await client.close()
         run(body())
 
     def test_stop_closes_idle_connections(self):
@@ -408,10 +475,10 @@ class TestGracefulShutdown:
             server = await _started_server()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
-            writer.write(b"PING\n")
-            assert await reader.readline() == b"PONG\n"
+            writer.write(encode_request(FrameEncoder(), "PING", [], 1))
+            assert (await _status(reader))[:2] == ("PONG", 1)
             await server.stop(drain_timeout=1.0)
-            assert await reader.readline() == b""   # EOF: server closed it
+            assert await read_frame(reader) is None  # EOF: server closed it
             assert server.connections == 0
         run(body())
 
@@ -422,7 +489,7 @@ class TestGracefulShutdown:
                 async with CacheClient("127.0.0.1", server.port) as c:
                     assert await c.quit() is True
                     # the server hung up that connection, not the server:
-                    # the pool dials a fresh one for the next request
+                    # the transport dials a fresh one for the next request
                     assert await c.ping() is True
             finally:
                 await server.stop()
@@ -456,10 +523,20 @@ class TestClient:
     def test_server_errors_are_not_retried(self):
         async def body():
             server = await _started_server()
+            handled = []
+            handle_frame = server._handle_frame
+
+            async def counting(frame, *args):
+                handled.append(frame.seq)
+                return await handle_frame(frame, *args)
+
+            server._handle_frame = counting
             try:
-                async with CacheClient("127.0.0.1", server.port) as c:
-                    with pytest.raises(ServerError):
-                        await c._request(b"FROB x\n")
+                async with CacheClient("127.0.0.1", server.port,
+                                       max_retries=3) as c:
+                    with pytest.raises(ServerError, match="RGET"):
+                        await c.transport.call("RGET", "x")  # wrong layer
+                assert handled == [1]  # sent once, never retried
             finally:
                 await server.stop()
         run(body())
@@ -514,7 +591,7 @@ class TestServiceCLI:
 
     def test_main_dispatches_service_commands(self, capsys):
         from repro.__main__ import main
-        assert main(["list"]) == 0
+        assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "serve" in out and "bench-service" in out
 

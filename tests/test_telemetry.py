@@ -3,7 +3,7 @@
 the observability HTTP endpoint (:mod:`repro.obs.http`), the flight
 recorder (:mod:`repro.obs.flight`), the :class:`ServiceTelemetry`
 composition, and the telemetry additions to ``repro top`` rendering and
-the server (uptime, per-framing connection counts)."""
+the server (uptime, accepted-connection count)."""
 
 import asyncio
 import json
@@ -652,12 +652,12 @@ class TestServiceTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# server additions: uptime and per-framing connection counters
+# server additions: uptime and the accepted-connection counter
 # ---------------------------------------------------------------------------
 
 
 class TestServerWireAccounting:
-    def test_uptime_and_framing_counts(self):
+    def test_uptime_and_connection_counts(self):
         async def body():
             obs = Observability.enabled(time_unit="s")
             store = ShardedStore(num_shards=2, data_capacity=64, obs=obs)
@@ -665,29 +665,21 @@ class TestServerWireAccounting:
             assert server.uptime_s == 0.0  # not started yet
             await server.start()
             try:
-                v1 = CacheClient("127.0.0.1", server.port, protocol="v1",
-                                 pool_size=1)
-                await v1.set("a", b"1")
-                await v1.close()
-                v2 = CacheClient("127.0.0.1", server.port, protocol="v2",
-                                 pool_size=1)
-                await v2.set("b", b"2")
-                await v2.close()
-                assert server.connections_v1 == 1
-                assert server.connections_v2 == 1
+                for key in ("a", "b"):
+                    client = CacheClient("127.0.0.1", server.port)
+                    await client.set(key, b"1")
+                    await client.close()
+                assert server.connections_accepted == 2
                 assert server.uptime_s > 0
                 info = server.server_info()
-                assert info["connections_v1"] == 1
-                assert info["connections_v2"] == 1
+                assert info["connections_accepted"] == 2
                 assert not info["draining"]
                 snap = obs.registry.snapshot()
-                series = snap["repro_service_connections_framing_total"][
+                (series,) = snap["repro_service_connections_accepted"][
                     "series"]
-                by_label = {s["labels"]["framing"]: s["value"]
-                            for s in series}
-                assert by_label == {"v1": 1, "v2": 1}
+                assert series["value"] == 2
                 payload = json.loads(server._stats_payload().decode())
-                assert payload["server"]["connections_v1"] == 1
+                assert payload["server"]["connections_accepted"] == 2
             finally:
                 await server.stop()
         run(body())
@@ -705,15 +697,15 @@ class TestDashboardTelemetry:
             "data_capacity": 64,
             "shards": [{"gets": 10, "hit_rate": 0.5}],
             "total": {"gets": 10, "hit_rate": 0.5},
-            "server": {"uptime_s": 3725.0, "connections_v1": 2,
-                       "connections_v2": 3, "connections_open": 1,
+            "server": {"uptime_s": 3725.0, "connections_accepted": 5,
+                       "connections_open": 1,
                        "draining": False},
         }
 
     def test_server_block_renders_uptime_and_wire_split(self):
         frame = render_dashboard(self._snapshot())
         assert "uptime 1:02:05" in frame
-        assert "conns 5 (v1 2 / v2 3, open 1)" in frame
+        assert "conns 5 (open 1)" in frame
         assert "DRAINING" not in frame
 
     def test_draining_flag_is_visible(self):
@@ -739,7 +731,7 @@ class TestDashboardTelemetry:
                           "replicas_held": 3, "pending_invals": 1,
                           "stale_rejects": 2, "protocol_races": 0,
                           "eventloop_lag_s": 0.0012, "draining": False,
-                          "connections_v1": 4, "connections_v2": 7,
+                          "connections_accepted": 11,
                           "uptime_s": 61.0},
                 "node1": {"name": "node1", "unreachable": True},
             },
@@ -747,10 +739,10 @@ class TestDashboardTelemetry:
             "unreachable": ["node1"], "draining": [],
         }
         frame = render_cluster_dashboard(summary)
-        header = next(l for l in frame.splitlines() if "wire v1/v2" in l)
+        header = next(l for l in frame.splitlines() if "conns" in l)
         assert "up" in header
         row = next(l for l in frame.splitlines() if l.strip().
                    startswith("node0"))
-        assert "4/7" in row and "0:01:01" in row
+        assert " 11 " in row and "0:01:01" in row
         down = next(l for l in frame.splitlines() if "DOWN" in l)
         assert down.rstrip().endswith("-")  # placeholders, not zeros
